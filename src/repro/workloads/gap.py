@@ -25,11 +25,9 @@ import random
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-try:  # optional fast path; the stdlib loop below is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environment
-    _np = None
-
+# The package's one NumPy probe (it honours REPRO_NO_NUMPY), shared
+# with the batch prescan.
+from ..sim.batch import np as _np
 from .synthetic import REGION_GAP, TraceBuilder
 from .trace import Trace
 

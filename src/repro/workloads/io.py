@@ -15,7 +15,7 @@ Format (``.rtrace``, gzip-compressed):
   vaddr (i64, -1 for non-memory), flags (u8);
 * version 2 (current writer): the same data *columnar* -- all ips
   (i64 little-endian), then all vaddrs (i64), then all flags (u8).
-  Columns load straight into a lazy :class:`Trace` without a per-record
+  Columns load straight into a :class:`Trace` without a per-record
   unpack loop, and compress slightly better.
 
 The format is versioned; readers reject unknown versions rather than
@@ -70,14 +70,7 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     path = Path(path)
     name_bytes = trace.name.encode("utf-8")
     suite_bytes = trace.suite.encode("utf-8")
-    cols = trace._cols
-    if cols is None:
-        records = trace.records
-        ips = array("q", [r[0] for r in records])
-        vaddrs = array("q", [r[1] for r in records])
-        flags = bytes(r[2] for r in records)
-    else:
-        ips, vaddrs, flags = cols
+    ips, vaddrs, flags = trace.columns()
     with gzip.open(path, "wb") as handle:
         handle.write(_HEADER.pack(MAGIC, VERSION, 0, len(trace)))
         handle.write(struct.pack("<H", len(name_bytes)))
@@ -109,14 +102,10 @@ def load_trace(path: Union[str, Path]) -> Trace:
         suite = handle.read(suite_len).decode("utf-8")
 
         if version == 1:
-            size = _RECORD.size
-            unpack = _RECORD.unpack
-            payload = handle.read(count * size)
-            if len(payload) != count * size:
+            payload = handle.read(count * _RECORD.size)
+            if len(payload) != count * _RECORD.size:
                 raise TraceFormatError(f"{path}: truncated record section")
-            records = [unpack(payload[i:i + size])
-                       for i in range(0, len(payload), size)]
-            return Trace(name, records, suite=suite)
+            return Trace(name, _RECORD.iter_unpack(payload), suite=suite)
 
         ip_bytes = handle.read(count * 8)
         vaddr_bytes = handle.read(count * 8)

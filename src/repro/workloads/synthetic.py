@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Iterable, List, Optional
+from bisect import bisect_right
+from typing import Iterable, List, Sequence, Tuple
 
+# The package's one NumPy probe (it honours REPRO_NO_NUMPY), shared
+# with the batch prescan.
+from ..sim.batch import np as _np
 from .trace import (FLAG_BRANCH, FLAG_LOAD, FLAG_MISPREDICT, FLAG_STORE,
-                    FLAG_WRONG_PATH, Record, Trace)
-
-try:  # optional bulk-generation fast path; never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the stdlib path
-    _np = None
+                    FLAG_WRONG_PATH, Trace)
 
 #: Byte distance between generated arrays / heaps, keeping address ranges
 #: of different data structures disjoint.
@@ -41,7 +40,7 @@ REGION_GAP = 1 << 30
 #: First instruction pointer handed out by :meth:`TraceBuilder.new_ip`.
 _IP_BASE = 0x400000
 
-#: Initial wrong-path pool entry (see ``TraceBuilder._wrong_path_pool``).
+#: Initial wrong-path pool entry (see :func:`_assemble`).
 _WP_SEED_TARGET = REGION_GAP * 7
 
 #: Wrong-path pool capacity (oldest entries are evicted beyond this).
@@ -51,11 +50,19 @@ _WP_POOL_MAX = 64
 class TraceBuilder:
     """Incrementally assemble a trace with realistic instruction mix.
 
-    ``add_load``/``add_store`` emit the memory operation plus ``filler``
-    non-memory instructions; every ``branch_every`` instructions a branch is
-    emitted, mispredicting with probability ``mispredict_rate`` and then
-    running ``wrong_path_fn`` to produce the transient loads executed in the
-    shadow of the mispredict.
+    ``add_load``/``add_store`` record one memory operation each, and
+    ``note_wrong_path_target`` an address later wrong-path bursts may
+    touch.  :meth:`build` lays the instruction stream out around them:
+    ``filler`` non-memory instructions after every operation, a branch
+    after every ``branch_every`` instructions (mispredicting with
+    probability ``mispredict_rate``), and ``wrong_path_loads`` transient
+    loads in the shadow of each mispredict.
+
+    The builder's state is columns only -- ``op_ips``/``op_addrs``
+    (``array('q')``) and ``op_flags`` (``bytearray``) for the operations,
+    ``note_at``/``note_addrs`` for the notes, where ``note_at`` counts the
+    operations recorded before each note.  Bulk generators may assign
+    them directly instead of appending one operation at a time.
     """
 
     def __init__(self, name: str, *, suite: str = "synthetic",
@@ -69,102 +76,186 @@ class TraceBuilder:
         self.branch_every = branch_every
         self.mispredict_rate = mispredict_rate
         self.wrong_path_loads = wrong_path_loads
-        self.rng = random.Random(seed)
-        self.records: List[Record] = []
-        self._since_branch = 0
+        self.seed = seed
+        self.op_ips = array("q")
+        self.op_addrs = array("q")
+        self.op_flags = bytearray()
+        self.note_at = array("q")
+        self.note_addrs = array("q")
         self._next_ip = _IP_BASE
-        #: Pool of wrong-path target addresses, refreshed by the patterns.
-        self._wrong_path_pool: List[int] = [_WP_SEED_TARGET]
+        #: ``(first op, next ip)`` pairs: the non-memory instructions laid
+        #: out after op ``i`` take their ip from the last pair with
+        #: ``first <= i``.
+        self._ip_marks: List[Tuple[int, int]] = [(0, _IP_BASE)]
 
     def new_ip(self) -> int:
         """Allocate a fresh instruction pointer (one per static load site)."""
         ip = self._next_ip
         self._next_ip += 4
+        marks = self._ip_marks
+        ops = len(self.op_flags)
+        if marks[-1][0] == ops:
+            marks[-1] = (ops, self._next_ip)
+        else:
+            marks.append((ops, self._next_ip))
         return ip
 
     def note_wrong_path_target(self, addr: int) -> None:
         """Register an address wrong-path bursts may touch."""
-        pool = self._wrong_path_pool
-        pool.append(addr)
-        if len(pool) > _WP_POOL_MAX:
-            pool.pop(0)
-
-    # ------------------------------------------------------------------
+        self.note_at.append(len(self.op_flags))
+        self.note_addrs.append(addr)
 
     def add_load(self, ip: int, addr: int) -> None:
-        self.records.append((ip, addr, FLAG_LOAD))
-        self._advance()
+        self.op_ips.append(ip)
+        self.op_addrs.append(addr)
+        self.op_flags.append(FLAG_LOAD)
 
     def add_store(self, ip: int, addr: int) -> None:
-        self.records.append((ip, addr, FLAG_STORE))
-        self._advance()
-
-    def add_filler(self, count: Optional[int] = None) -> None:
-        for _ in range(self.filler if count is None else count):
-            self.records.append((self._next_ip, -1, 0))
-            self._since_branch += 1
-            self._maybe_branch()
-
-    def _advance(self) -> None:
-        self._since_branch += 1
-        self._maybe_branch()
-        self.add_filler()
-
-    def _maybe_branch(self) -> None:
-        if self._since_branch < self.branch_every:
-            return
-        self._since_branch = 0
-        mispredict = self.rng.random() < self.mispredict_rate
-        flags = FLAG_BRANCH | (FLAG_MISPREDICT if mispredict else 0)
-        self.records.append((self._next_ip + 2, -1, flags))
-        if mispredict:
-            self._emit_wrong_path()
-
-    def _emit_wrong_path(self) -> None:
-        """Transient loads executed in a mispredicted branch's shadow."""
-        rng = self.rng
-        pool = self._wrong_path_pool
-        wp_flags = FLAG_LOAD | FLAG_WRONG_PATH
-        ip = self._next_ip + 16
-        for _ in range(self.wrong_path_loads):
-            base = pool[rng.randrange(len(pool))]
-            addr = base + rng.randrange(256) * 64
-            self.records.append((ip, addr, wp_flags))
+        self.op_ips.append(ip)
+        self.op_addrs.append(addr)
+        self.op_flags.append(FLAG_STORE)
 
     def build(self) -> Trace:
-        return Trace(self.name, self.records, suite=self.suite)
+        return _assemble(self)
+
+
+def _assemble(builder: TraceBuilder) -> Trace:
+    """Lay out a builder's instruction stream around its memory ops.
+
+    The control skeleton is exactly periodic: every op contributes
+    ``1 + filler`` instruction slots (the op, then its non-memory
+    fillers), and a branch record follows every ``branch_every``-th slot
+    whatever the mispredict outcomes (wrong-path bursts never advance the
+    branch counter).  So the committed stream is a pure interleave of
+    three arithmetic sequences -- ops, fillers, branches -- assembled with
+    extended-slice assignments over the columns.
+
+    Only the builder RNG's draws stay sequential, replayed in their
+    original order: one ``random()`` per branch, and per mispredict two
+    ``randrange`` per wrong-path load.  A branch fires while its op is
+    being added, so its wrong-path pool is ``[_WP_SEED_TARGET]`` plus the
+    notes made before that op, keeping the newest ``_WP_POOL_MAX``.
+    """
+    ops = len(builder.op_flags)
+    unit = 1 + max(0, builder.filler)
+    period = max(1, builder.branch_every)
+    slots = unit * ops
+    n_branches = slots // period
+    marks = builder._ip_marks
+    spans = [(first, end, nip) for (first, nip), (end, _)
+             in zip(marks, marks[1:] + [(ops, 0)])]
+
+    # Instruction slots: op ``k`` at slot ``k * unit``, fillers after it.
+    slot_ip = array("q")
+    for first, end, nip in spans:
+        slot_ip += array("q", [nip]) * ((end - first) * unit)
+    slot_ip[::unit] = builder.op_ips
+    slot_addr = array("q", [-1]) * slots
+    slot_addr[::unit] = builder.op_addrs
+    slot_flags = bytearray(slots)
+    slot_flags[::unit] = builder.op_flags
+
+    # Committed stream: groups of ``period`` slots + 1 branch record.
+    # Branch ``b`` follows slot ``(b + 1) * period - 1``, inside op
+    # ``((b + 1) * period - 1) // unit``'s unit.
+    total = slots + n_branches
+    group = period + 1
+    ips = array("q", bytes(8 * total))
+    addrs = array("q", bytes(8 * total))
+    flags = bytearray(total)
+    for r in range(period):
+        ips[r::group] = slot_ip[r::period]
+        addrs[r::group] = slot_addr[r::period]
+        flags[r::group] = slot_flags[r::period]
+    branch_ip = array("q")
+    for first, end, nip in spans:
+        branch_ip += array("q", [nip + 2]) * (
+            end * unit // period - first * unit // period)
+    ips[period::group] = branch_ip
+    addrs[period::group] = array("q", [-1]) * n_branches
+    flags[period::group] = bytes([FLAG_BRANCH]) * n_branches
+
+    # The sequential tail: replay the branch draws in stream order.
+    rng = random.Random(builder.seed)
+    random_ = rng.random
+    randrange = rng.randrange
+    rate = builder.mispredict_rate
+    burst_len = builder.wrong_path_loads
+    note_at = builder.note_at
+    notes = builder.note_addrs
+    firsts = [first for first, _, _ in spans]
+    bursts = []
+    for b in range(n_branches):
+        if random_() >= rate:
+            continue
+        at = b * group + period
+        flags[at] |= FLAG_MISPREDICT
+        op = ((b + 1) * period - 1) // unit
+        seen = bisect_right(note_at, op)
+        if seen < _WP_POOL_MAX:
+            pool: Sequence[int] = [_WP_SEED_TARGET, *notes[:seen]]
+        else:
+            pool = notes[seen - _WP_POOL_MAX:seen]
+        size = len(pool)
+        burst = [pool[randrange(size)] + randrange(256) * 64
+                 for _ in range(burst_len)]
+        if burst:
+            nip = spans[bisect_right(firsts, op) - 1][2]
+            bursts.append((at + 1, nip + 16, burst))
+    if bursts:
+        ips, addrs, flags = _splice(ips, addrs, flags, bursts)
+    return Trace.from_columns(builder.name, ips, addrs, bytes(flags),
+                              suite=builder.suite)
+
+
+def _splice(ips: array, addrs: array, flags: bytearray,
+            bursts: List[Tuple[int, int, List[int]]]
+            ) -> Tuple[array, array, bytearray]:
+    """Insert each ``(position, ip, addresses)`` wrong-path burst into
+    the committed columns, in one pass."""
+    out_ips, out_addrs, out_flags = array("q"), array("q"), bytearray()
+    wp_flag = bytes([FLAG_LOAD | FLAG_WRONG_PATH])
+    prev = 0
+    for at, ip, burst in bursts:
+        out_ips += ips[prev:at]
+        out_addrs += addrs[prev:at]
+        out_flags += flags[prev:at]
+        out_ips += array("q", [ip]) * len(burst)
+        out_addrs += array("q", burst)
+        out_flags += wp_flag * len(burst)
+        prev = at
+    out_ips += ips[prev:]
+    out_addrs += addrs[prev:]
+    out_flags += flags[prev:]
+    return out_ips, out_addrs, out_flags
 
 
 # ----------------------------------------------------------------------
 # pattern generators
 # ----------------------------------------------------------------------
 
-def _bulk_stream_trace(name: str, n_loads: int, *, streams: int,
-                       stride_blocks: int, elems_per_block: int,
-                       footprint_mb: int, store_every: int, seed: int,
-                       suite: str, filler: int = 2, branch_every: int = 8,
-                       mispredict_rate: float = 0.002,
-                       wrong_path_loads: int = 4) -> Trace:
-    """Columnar :func:`stream_trace`, record-for-record identical.
+def stream_trace(name: str, n_loads: int, *, streams: int = 4,
+                 stride_blocks: int = 1, elems_per_block: int = 8,
+                 footprint_mb: int = 16, store_every: int = 0, seed: int = 1,
+                 suite: str = "synthetic", **builder_kw) -> Trace:
+    """Concurrent sequential/strided streams (bwaves/lbm/roms-like).
 
-    The builder's control skeleton is exactly periodic: every memory op
-    contributes ``1 + filler`` instruction slots, and a branch record is
-    inserted after every ``branch_every``-th slot regardless of mispredict
-    outcomes (wrong-path bursts never advance the branch counter).  That
-    makes the committed stream a pure interleave of three arithmetic
-    sequences -- memory ops, fillers, branches -- assembled here with
-    extended-slice assignments over ``array('q')`` columns.  Only the
-    per-branch mispredict draws (and the rare wrong-path bursts, whose
-    addresses depend on the wrong-path pool state mid-stream) stay
-    sequential, preserving the exact ``random.Random(seed)`` draw order of
-    the record-by-record builder.
+    Each stream reads ``elems_per_block`` 8-byte elements of a cache block
+    (so most accesses hit in the L1D, like real array sweeps), then jumps
+    ``stride_blocks`` blocks forward.  ``elems_per_block=1`` gives the
+    one-touch-per-block behaviour of large-stride codes (cactus-like).
+    Load ``i`` belongs to stream ``i % streams``; stream 0's loads are
+    the wrong-path targets, and with ``store_every`` a store to the same
+    address follows every ``store_every``-th load.
+
+    The op columns are computed in closed form rather than load by load.
     """
+    builder = TraceBuilder(name, suite=suite, seed=seed, **builder_kw)
     footprint = footprint_mb << 20
     epb = elems_per_block
     bases = [i * REGION_GAP for i in range(1, streams + 1)]
-    ips = [_IP_BASE + 4 * s for s in range(streams)]
-    store_ip = _IP_BASE + 4 * streams
-    nip = _IP_BASE + 4 * (streams + 1)  # builder._next_ip after setup
+    ips = [builder.new_ip() for _ in range(streams)]
+    store_ip = builder.new_ip()
 
     # Load columns.  The j-th load of stream s touches
     #   bases[s] + ((j // epb) * stride * 64 + (j % epb) * 8) % footprint
@@ -202,8 +293,8 @@ def _bulk_stream_trace(name: str, n_loads: int, *, streams: int,
 
     # Op columns: loads with a store (reusing the load's address) spliced
     # in after every ``store_every``-th load, giving period se + 1.
-    if store_every:
-        se = store_every
+    se = store_every
+    if se:
         n_stores = n_loads // se
         n_ops = n_loads + n_stores
         period = se + 1
@@ -216,127 +307,17 @@ def _bulk_stream_trace(name: str, n_loads: int, *, streams: int,
         op_ip[se::period] = array("q", [store_ip]) * n_stores
         op_addr[se::period] = load_addr[se - 1::se]
         op_flag[se::period] = bytes([FLAG_STORE]) * n_stores
+        builder.op_ips, builder.op_addrs, builder.op_flags = \
+            op_ip, op_addr, op_flag
     else:
-        n_ops = n_loads
-        op_ip, op_addr = load_ip, load_addr
-        op_flag = bytearray([FLAG_LOAD]) * n_ops
+        builder.op_ips, builder.op_addrs = load_ip, load_addr
+        builder.op_flags = bytearray([FLAG_LOAD]) * n_loads
 
-    # Instruction slots: each op is followed by ``filler`` non-memory
-    # records.
-    unit = 1 + filler
-    n_inc = unit * n_ops
-    inc_ip = array("q", [nip]) * n_inc
-    inc_ip[::unit] = op_ip
-    inc_addr = array("q", [-1]) * n_inc
-    inc_addr[::unit] = op_addr
-    inc_flags = bytearray(n_inc)
-    inc_flags[::unit] = op_flag
-
-    # Committed stream: groups of ``branch_every`` slots + 1 branch record.
-    n_branches = n_inc // branch_every
-    total = n_inc + n_branches
-    group = branch_every + 1
-    out_ip = array("q", bytes(8 * total))
-    out_addr = array("q", bytes(8 * total))
-    out_flags = bytearray(total)
-    for r in range(branch_every):
-        out_ip[r::group] = inc_ip[r::branch_every]
-        out_addr[r::group] = inc_addr[r::branch_every]
-        out_flags[r::group] = inc_flags[r::branch_every]
-    if n_branches:
-        out_ip[branch_every::group] = array("q", [nip + 2]) * n_branches
-        out_addr[branch_every::group] = array("q", [-1]) * n_branches
-        out_flags[branch_every::group] = bytes([FLAG_BRANCH]) * n_branches
-
-    # Sequential tail: the branch rng draws, in stream order.  A branch in
-    # op u's unit fires before that op's note_wrong_path_target call, so
-    # its wrong-path pool is the seeded entry plus the stream-0 load
-    # addresses noted by ops strictly before u (a closed-form count).
-    rng = random.Random(seed)
-    random_ = rng.random
-    randrange = rng.randrange
-    noted = load_addr[0::streams]
-    wp_flags = FLAG_LOAD | FLAG_WRONG_PATH
-    wp_ip = nip + 16
-    wp: List[tuple] = []
-    for b in range(n_branches):
-        if random_() >= mispredict_rate:
-            continue
-        pos = b * group + branch_every
-        out_flags[pos] |= FLAG_MISPREDICT
-        u = (branch_every * (b + 1) - 1) // unit
-        loads_before = u - u // (store_every + 1) if store_every else u
-        c = (loads_before + streams - 1) // streams
-        if c < _WP_POOL_MAX:
-            pool = [_WP_SEED_TARGET] + list(noted[:c])
-        else:
-            pool = list(noted[c - _WP_POOL_MAX:c])
-        size = len(pool)
-        for _ in range(wrong_path_loads):
-            base = pool[randrange(size)]
-            wp.append((pos, base + randrange(256) * 64))
-    if wp:
-        # Splice each mispredict's burst right after its branch record.
-        inserted = 0
-        i = 0
-        n_wp = len(wp)
-        while i < n_wp:
-            j = i
-            pos = wp[i][0]
-            while j < n_wp and wp[j][0] == pos:
-                j += 1
-            at = pos + 1 + inserted
-            burst = j - i
-            out_ip[at:at] = array("q", [wp_ip]) * burst
-            out_addr[at:at] = array("q", [a for _, a in wp[i:j]])
-            out_flags[at:at] = bytes([wp_flags]) * burst
-            inserted += burst
-            i = j
-
-    return Trace.from_columns(name, out_ip, out_addr, bytes(out_flags),
-                              suite=suite)
-
-
-def stream_trace(name: str, n_loads: int, *, streams: int = 4,
-                 stride_blocks: int = 1, elems_per_block: int = 8,
-                 footprint_mb: int = 16, store_every: int = 0, seed: int = 1,
-                 suite: str = "synthetic", bulk: bool = True,
-                 **builder_kw) -> Trace:
-    """Concurrent sequential/strided streams (bwaves/lbm/roms-like).
-
-    Each stream reads ``elems_per_block`` 8-byte elements of a cache block
-    (so most accesses hit in the L1D, like real array sweeps), then jumps
-    ``stride_blocks`` blocks forward.  ``elems_per_block=1`` gives the
-    one-touch-per-block behaviour of large-stride codes (cactus-like).
-
-    ``bulk=True`` (the default) generates the columns in bulk -- several
-    times faster, record-for-record identical to the ``bulk=False``
-    reference path below (the equivalence is pinned by tests).
-    """
-    if bulk:
-        return _bulk_stream_trace(
-            name, n_loads, streams=streams, stride_blocks=stride_blocks,
-            elems_per_block=elems_per_block, footprint_mb=footprint_mb,
-            store_every=store_every, seed=seed, suite=suite, **builder_kw)
-    builder = TraceBuilder(name, suite=suite, seed=seed, **builder_kw)
-    footprint = footprint_mb << 20
-    bases = [i * REGION_GAP for i in range(1, streams + 1)]
-    ips = [builder.new_ip() for _ in range(streams)]
-    store_ip = builder.new_ip()
-    block_pos = [0] * streams
-    elem_pos = [0] * streams
-    for i in range(n_loads):
-        s = i % streams
-        addr = bases[s] + (block_pos[s] * 64 + elem_pos[s] * 8) % footprint
-        elem_pos[s] += 1
-        if elem_pos[s] >= elems_per_block:
-            elem_pos[s] = 0
-            block_pos[s] += stride_blocks
-        builder.add_load(ips[s], addr)
-        if s == 0:
-            builder.note_wrong_path_target(addr)
-        if store_every and i % store_every == store_every - 1:
-            builder.add_store(store_ip, addr)
+    # Stream 0's load ``i`` is noted right after it is added, before the
+    # store that may follow it.
+    builder.note_at = array("q", [i + 1 + (i // se if se else 0)
+                                  for i in range(0, n_loads, streams)])
+    builder.note_addrs = load_addr[0::streams]
     return builder.build()
 
 
@@ -494,18 +475,19 @@ def hot_cold_trace(name: str, n_loads: int, *, hot_kb: int = 24,
 
 def interleave(traces: Iterable[Trace], name: str,
                chunk: int = 64) -> Trace:
-    """Round-robin interleave several traces (used to mix behaviours)."""
-    iters = [iter(t.records) for t in traces]
-    records: List[Record] = []
-    alive = list(range(len(iters)))
-    while alive:
-        for idx in list(alive):
-            taken = 0
-            for record in iters[idx]:
-                records.append(record)
-                taken += 1
-                if taken >= chunk:
-                    break
-            if taken < chunk:
-                alive.remove(idx)
-    return Trace(name, records)
+    """Round-robin interleave several traces (used to mix behaviours).
+
+    Round ``r`` takes records ``[r * chunk, (r + 1) * chunk)`` of every
+    trace still that long, in the order given.
+    """
+    columns = [trace.columns() for trace in traces]
+    ips, addrs, flags = array("q"), array("q"), bytearray()
+    longest = max((len(cols[2]) for cols in columns), default=0)
+    for lo in range(0, longest, chunk):
+        hi = lo + chunk
+        for t_ips, t_addrs, t_flags in columns:
+            if len(t_flags) > lo:
+                ips.extend(t_ips[lo:hi])
+                addrs.extend(t_addrs[lo:hi])
+                flags += t_flags[lo:hi]
+    return Trace.from_columns(name, ips, addrs, bytes(flags))

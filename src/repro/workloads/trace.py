@@ -7,19 +7,25 @@ shadow of a mispredicted branch.  Wrong-path records execute speculatively
 (they access the memory hierarchy and, on a non-secure system, pollute it and
 train on-access prefetchers) but they never commit.
 
-For speed each record is a plain tuple ``(ip, vaddr, flags)``:
+A :class:`Trace` stores its records as three parallel *columns*:
 
-* ``ip``    -- instruction pointer (integer, byte address).
-* ``vaddr`` -- virtual byte address of the memory operand, or ``-1`` when the
-  instruction does not touch memory.
-* ``flags`` -- bitwise OR of the ``FLAG_*`` constants below.
+* ``ips``    -- instruction pointers (``array('q')``, byte addresses).
+* ``vaddrs`` -- virtual byte address of each memory operand, or ``-1`` when
+  the instruction does not touch memory (``array('q')``).
+* ``flags``  -- one byte per record, the bitwise OR of the ``FLAG_*``
+  constants below (``bytes``).
 
-The :class:`Instr` dataclass offers a readable view of a record for tests and
-examples; the hot simulator loops index the tuples directly.
+Generators emit these columns directly, ``.rtrace`` files store them, and
+the batch prescan (:mod:`repro.sim.batch`) reads them.  One record is
+written ``(ip, vaddr, flags)``: the record helpers below (:func:`load`,
+:func:`store`, ...) build such tuples for hand-written traces, and
+:attr:`Trace.records` materializes them lazily for tests and inspection.
+The :class:`Instr` dataclass offers a readable view of one record.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -30,9 +36,9 @@ FLAG_BRANCH = 0x04
 FLAG_MISPREDICT = 0x08  # only meaningful when FLAG_BRANCH is set
 FLAG_WRONG_PATH = 0x10  # transient record: executes, never commits
 
-#: Every flag-byte value with FLAG_WRONG_PATH set; lets the columnar
-#: wrong-path count run as a handful of C-speed ``bytes.count`` scans.
-_WRONG_PATH_BYTES = tuple(v for v in range(256) if v & FLAG_WRONG_PATH)
+#: Every flag-byte value with FLAG_WRONG_PATH set: deleting them from a
+#: flags column with ``bytes.translate`` leaves the committed records.
+_WRONG_PATH_BYTES = bytes(v for v in range(256) if v & FLAG_WRONG_PATH)
 
 #: Cache block size used throughout the simulator (bytes).
 BLOCK_SIZE = 64
@@ -108,33 +114,27 @@ def branch(ip: int, *, mispredict: bool = False) -> Record:
 class Trace:
     """An ordered sequence of trace records with a name and provenance.
 
-    ``records`` mixes committed-path and wrong-path records.  The committed
-    instruction count (used for IPC and per-kilo-instruction metrics) excludes
-    wrong-path records.
+    Records mix committed-path and wrong-path instructions.  The committed
+    instruction count (used for IPC and per-kilo-instruction metrics)
+    excludes wrong-path records.
 
-    Bulk generators build traces from *columns* (parallel ip/vaddr/flags
-    sequences, see :meth:`from_columns`); the record tuples those callers
-    mostly never touch are materialized lazily on first ``.records`` access.
-    Columnar traces also pickle as columns, which keeps multiprocess job
-    payloads small.
+    The columns (see the module docstring) are the only stored
+    representation: ``Trace(name, records)`` transposes its records once,
+    :meth:`from_columns` adopts prebuilt columns as they are.  Record
+    tuples exist only if something reads :attr:`records`.
     """
 
-    def __init__(self, name: str, records: Sequence[Record],
+    def __init__(self, name: str, records: Iterable[Record],
                  suite: str = "synthetic") -> None:
-        self.name = name
-        self.suite = suite
-        self._records: Optional[List[Record]] = list(records)
-        self._cols: Optional[Tuple[Sequence[int], Sequence[int],
-                                   Sequence[int]]] = None
-        self.committed_count = sum(
-            1 for (_, _, flags) in self._records
-            if not flags & FLAG_WRONG_PATH)
+        ips, vaddrs, flags = tuple(zip(*records)) or ((), (), ())
+        self._adopt(name, suite, array("q", ips), array("q", vaddrs),
+                    bytes(flags))
 
     @classmethod
     def from_columns(cls, name: str, ips: Sequence[int],
                      vaddrs: Sequence[int], flags: Sequence[int],
                      suite: str = "synthetic") -> "Trace":
-        """Build a trace from parallel columns without materializing tuples.
+        """Build a trace from parallel columns without copying them.
 
         ``ips``/``vaddrs`` are typically ``array('q')`` and ``flags`` a
         ``bytes``/``bytearray``; elements must index back as plain ints
@@ -144,67 +144,56 @@ class Trace:
         if not (len(ips) == len(vaddrs) == len(flags)):
             raise ValueError("column lengths differ")
         trace = cls.__new__(cls)
-        trace.name = name
-        trace.suite = suite
-        trace._records = None
-        trace._cols = (ips, vaddrs, flags)
-        # Only wrong-path records carry FLAG_WRONG_PATH; count them
-        # straight off the flags column.
-        if isinstance(flags, (bytes, bytearray)):
-            wrong_path = sum(flags.count(v) for v in _WRONG_PATH_BYTES)
-        else:
-            wrong_path = sum(1 for f in flags if f & FLAG_WRONG_PATH)
-        trace.committed_count = len(flags) - wrong_path
+        trace._adopt(name, suite, ips, vaddrs, flags)
         return trace
+
+    def _adopt(self, name: str, suite: str, ips: Sequence[int],
+               vaddrs: Sequence[int], flags: Sequence[int]) -> None:
+        self.name = name
+        self.suite = suite
+        self._records: Optional[List[Record]] = None
+        self._cols = (ips, vaddrs, flags)
+        if isinstance(flags, (bytes, bytearray)):
+            committed = len(flags.translate(None, _WRONG_PATH_BYTES))
+        else:
+            committed = sum(1 for f in flags if not f & FLAG_WRONG_PATH)
+        self.committed_count = committed
 
     @property
     def records(self) -> List[Record]:
+        """The records as ``(ip, vaddr, flags)`` tuples, built on first
+        access and cached (for tests and inspection; the simulator reads
+        :meth:`columns`)."""
         records = self._records
         if records is None:
             records = self._records = list(zip(*self._cols))
         return records
 
     def columns(self) -> Tuple[Sequence[int], Sequence[int], Sequence[int]]:
-        """Parallel ``(ips, vaddrs, flags)`` views of the records.
-
-        Columnar traces return the prebuilt columns without ever
-        materializing record tuples; record-built traces transpose on
-        demand (and do not cache the result -- the tuples stay the
-        canonical representation there).  The batch stepper's prescan
-        (:mod:`repro.sim.batch`) reads these, so a columnar trace can be
-        simulated end to end without ``records`` existing at all.
-        """
-        if self._cols is not None:
-            return self._cols
-        if not self._records:
-            return ((), (), ())
-        ips, vaddrs, flags = zip(*self._records)
-        return ips, vaddrs, flags
+        """The parallel ``(ips, vaddrs, flags)`` columns."""
+        return self._cols
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        if state.get("_cols") is not None:
-            state["_records"] = None  # ship columns, not tuples
+        state["_records"] = None  # ship columns, not tuples
         # The batch-prescan cache is derived data; recompute on the far
         # side rather than shipping it in job payloads.
         state.pop("_batch_plan", None)
         return state
 
     def __len__(self) -> int:
-        if self._records is not None:
-            return len(self._records)
-        return len(self._cols[0])
+        return len(self._cols[2])
 
     def __iter__(self) -> Iterator[Record]:
-        return iter(self.records)
+        return zip(*self._cols)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Trace({self.name!r}, {len(self.records)} records, "
+        return (f"Trace({self.name!r}, {len(self)} records, "
                 f"{self.committed_count} committed)")
 
     def instructions(self) -> Iterator[Instr]:
         """Iterate records as :class:`Instr` objects (slow, for inspection)."""
-        for ip, vaddr, flags in self.records:
+        for ip, vaddr, flags in self:
             yield Instr(ip, vaddr, flags)
 
     def loads(self) -> Iterator[Instr]:
@@ -215,10 +204,11 @@ class Trace:
 
     def footprint_blocks(self) -> int:
         """Number of distinct cache blocks touched by committed-path memory."""
+        _, vaddrs, flags = self._cols
         blocks = {
             vaddr >> BLOCK_SHIFT
-            for (_, vaddr, flags) in self.records
-            if vaddr >= 0 and not flags & FLAG_WRONG_PATH
+            for vaddr, flag in zip(vaddrs, flags)
+            if vaddr >= 0 and not flag & FLAG_WRONG_PATH
         }
         return len(blocks)
 

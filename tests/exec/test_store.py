@@ -130,6 +130,22 @@ class TestStableKeys:
         assert job_key(BASELINE, t1, SCALE, params) == \
             job_key(BASELINE, t2, SCALE, params)
 
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 10001])
+    def test_fingerprint_matches_record_walk(self, n):
+        """The column-native digest hashes exactly the byte stream of
+        the original per-record walk, across chunk boundaries."""
+        import hashlib
+
+        from repro.workloads.trace import Trace
+        records = [(0x400000 + 4 * (i % 7), -1 if i % 3 else i * 4160,
+                    (i * 37) % 32) for i in range(n)]
+        trace = Trace("hand-built", records, suite="x")
+        walk = hashlib.sha256(b"hand-built\x00x\x00")
+        for ip, vaddr, flags in records:
+            walk.update(b"%d,%d,%d;" % (ip, vaddr, flags))
+        assert trace_fingerprint(trace) == walk.hexdigest()
+        assert trace._records is None
+
     def test_key_depends_on_every_input(self):
         params = baseline()
         traces = self._pool()

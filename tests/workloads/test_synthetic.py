@@ -9,6 +9,8 @@ from repro.workloads.synthetic import (TraceBuilder, hot_cold_trace,
 from repro.workloads.trace import (FLAG_BRANCH, FLAG_LOAD, FLAG_MISPREDICT,
                                    FLAG_STORE, FLAG_WRONG_PATH)
 
+from .oracle import oracle_stream_trace
+
 
 def loads_of(trace):
     return [(ip, vaddr) for ip, vaddr, flags in trace.records
@@ -176,8 +178,8 @@ def test_stream_trace_properties(n_loads, streams, seed):
 
 
 class TestBulkStreamTrace:
-    """The bulk columnar stream generator must be record-for-record
-    identical to the record-by-record TraceBuilder reference path."""
+    """The closed-form stream generator must be record-for-record
+    identical to the per-load reference loop (``oracle.py``)."""
 
     @given(
         n_loads=st.integers(min_value=0, max_value=600),
@@ -187,8 +189,8 @@ class TestBulkStreamTrace:
         footprint_mb=st.integers(min_value=1, max_value=4),
         store_every=st.integers(min_value=0, max_value=5),
         filler=st.integers(min_value=0, max_value=4),
-        branch_every=st.integers(min_value=2, max_value=12),
-        mispredict_rate=st.sampled_from([0.0, 0.01, 0.3]),
+        branch_every=st.integers(min_value=1, max_value=12),
+        mispredict_rate=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
         wrong_path_loads=st.integers(min_value=0, max_value=4),
         seed=st.integers(min_value=1, max_value=2**20),
     )
@@ -203,8 +205,8 @@ class TestBulkStreamTrace:
             store_every=store_every, seed=seed, filler=filler,
             branch_every=branch_every, mispredict_rate=mispredict_rate,
             wrong_path_loads=wrong_path_loads)
-        ref = stream_trace("t", n_loads, bulk=False, **kwargs)
-        new = stream_trace("t", n_loads, bulk=True, **kwargs)
+        ref = oracle_stream_trace("t", n_loads, **kwargs)
+        new = stream_trace("t", n_loads, **kwargs)
         assert new.records == ref.records
         assert new.committed_count == ref.committed_count
         assert len(new) == len(ref)
@@ -215,13 +217,13 @@ class TestBulkStreamTrace:
         kwargs = dict(streams=4, stride_blocks=1, elems_per_block=8,
                       footprint_mb=24, store_every=4, seed=4,
                       mispredict_rate=0.05)
-        ref = stream_trace("t", 3000, bulk=False, **kwargs)
-        new = stream_trace("t", 3000, bulk=True, **kwargs)
+        ref = oracle_stream_trace("t", 3000, **kwargs)
+        new = stream_trace("t", 3000, **kwargs)
         assert new.records == ref.records
 
     def test_spec_stream_workloads_match_reference(self):
-        # The pinned stream-family SPEC workloads go through the bulk path
-        # in production; pin their byte-identity at a realistic size.
+        # Pin the stream-family SPEC workloads' byte-identity at a
+        # realistic size (the NumPy load-column path engages at 1024).
         for kwargs in (
                 dict(streams=6, stride_blocks=2, elems_per_block=4,
                      footprint_mb=24, seed=3),
@@ -229,8 +231,8 @@ class TestBulkStreamTrace:
                      footprint_mb=24, store_every=4, seed=4),
                 dict(streams=3, stride_blocks=8, elems_per_block=2,
                      footprint_mb=32, seed=6, filler=4)):
-            ref = stream_trace("t", 4000, bulk=False, **kwargs)
-            new = stream_trace("t", 4000, bulk=True, **kwargs)
+            ref = oracle_stream_trace("t", 4000, **kwargs)
+            new = stream_trace("t", 4000, **kwargs)
             assert new.records == ref.records
 
     def test_bulk_trace_is_columnar(self):
