@@ -12,17 +12,19 @@ would otherwise derive:
     one byte per record (``C_*`` below); the inner loop dispatches on it
     instead of re-testing flag combinations.
 ``blocks``
-    cache-block number per record (``vaddr >> BLOCK_SHIFT``), as plain
-    Python ints (NumPy scalars must never leak into the simulate loop).
+    cache-block number per record (``vaddr >> BLOCK_SHIFT``), as an
+    ``array('q')``: 8 bytes per record, and indexing yields plain Python
+    ints (NumPy scalars must never leak into the simulate loop).
 ``ips``
-    instruction pointers as a plain list (indexed only for loads).
+    the trace's own instruction-pointer column, aliased rather than
+    copied (indexed only for loads).
 ``cum``
-    committed-record prefix counts: ``cum[j]`` is the number of
-    committed-path records among ``records[0..j]``.  The outer loop
-    binary-searches this to turn "pause after the k-th committed
-    instruction" (warm-up reset, sampler boundary, multicore yield) into
-    a record index, so the inner loop runs with **zero** per-record
-    boundary checks.
+    committed-record prefix counts, as an ``array('q')``: ``cum[j]`` is
+    the number of committed-path records among ``records[0..j]``.  The
+    outer loop binary-searches this to turn "pause after the k-th
+    committed instruction" (warm-up reset, sampler boundary, multicore
+    yield) into a record index, so the inner loop runs with **zero**
+    per-record boundary checks.
 ``same_page``
     1 where a load record touches the same 4 KB page as the immediately
     preceding load record.  Only loads touch the dTLB and the previous
@@ -45,9 +47,10 @@ classification at C speed even without NumPy).
 from __future__ import annotations
 
 import os
+from array import array
 from bisect import bisect_left
 from itertools import accumulate
-from typing import List, Sequence
+from typing import Sequence
 
 from ..workloads.trace import (FLAG_BRANCH, FLAG_LOAD, FLAG_MISPREDICT,
                                FLAG_STORE, FLAG_WRONG_PATH)
@@ -105,8 +108,8 @@ class BatchPlan:
     __slots__ = ("n", "codes", "blocks", "ips", "cum", "same_page",
                  "committed_total")
 
-    def __init__(self, codes: bytes, blocks: List[int], ips: Sequence[int],
-                 cum: List[int], same_page: bytes) -> None:
+    def __init__(self, codes: bytes, blocks: array, ips: Sequence[int],
+                 cum: array, same_page: bytes) -> None:
         self.n = len(codes)
         self.codes = codes
         self.blocks = blocks
@@ -143,17 +146,16 @@ def _prescan_numpy(ips, vaddrs, flags) -> BatchPlan:
     if len(load_idx) > 1:
         pages = blocks_np[load_idx] >> 6  # page = block >> 6
         same_np[load_idx[1:]] = pages[1:] == pages[:-1]
-    cum = np.cumsum(codes_np < C_WRONG_LOAD, dtype=np.int64).tolist()
-    ips_list = ips if type(ips) is list else list(ips)
-    return BatchPlan(codes_np.tobytes(), blocks_np.tolist(), ips_list,
-                     cum, same_np.tobytes())
+    cum = np.cumsum(codes_np < C_WRONG_LOAD, dtype=np.int64)
+    return BatchPlan(codes_np.tobytes(), array("q", blocks_np.tobytes()),
+                     ips, array("q", cum.tobytes()), same_np.tobytes())
 
 
 def _prescan_stdlib(ips, vaddrs, flags) -> BatchPlan:
     flag_bytes = _as_flag_bytes(flags)
     codes = flag_bytes.translate(CODE_TABLE)
-    blocks = [v >> 6 for v in vaddrs]
-    cum = list(accumulate(codes.translate(_COMMIT_TABLE)))
+    blocks = array("q", [v >> 6 for v in vaddrs])
+    cum = array("q", accumulate(codes.translate(_COMMIT_TABLE)))
     same_page = bytearray(len(codes))
     prev_page = -1 << 70  # no real page compares equal
     is_load = _IS_LOAD
@@ -164,8 +166,7 @@ def _prescan_stdlib(ips, vaddrs, flags) -> BatchPlan:
                 same_page[j] = 1
             else:
                 prev_page = page
-    ips_list = ips if type(ips) is list else list(ips)
-    return BatchPlan(codes, blocks, ips_list, cum, bytes(same_page))
+    return BatchPlan(codes, blocks, ips, cum, bytes(same_page))
 
 
 def prescan(trace) -> BatchPlan:

@@ -78,26 +78,26 @@ class MemoryHierarchy:
         self.gm_stats = GhostMinionStats()
         self.gm = GhostMinionCache(params.gm, self.gm_stats) if secure \
             else None
-        # Hot-path hoists (demand_load runs once per load): bound methods
-        # of the fixed collaborators and the constants behind a GM hit's
-        # latency and the prefetch-demotion threshold.
+        # Hot-path hoists (demand_load runs once per load): each level's
+        # walk, and the constants behind a GM hit's latency and the
+        # prefetch-demotion threshold.
         self._l1d_access = self.l1d.access
+        self._l2_access = self.l2.access
         #: Batched commit re-fetch resolver (see flatwalk); ``None`` when
         #: the chain is scrambled and the drain must re-fetch per block.
         self._refetch_batch = None
         if self.llc_front is self.llc:
-            # Plain chain (no index-randomization adapter): install the
+            # Plain chain (no index-randomization adapter): use the
             # flattened one-frame descents.  Each is a semantically
             # identical twin of the recursive walk (make_flat_descent);
             # with events attached they defer to the recursive path, so
-            # tracing semantics are unchanged.  The shared-LLC case simply
-            # rebinds the LLC's descent to an equivalent closure per core.
+            # tracing semantics are unchanged.  The hierarchy owns them,
+            # never the levels they walk, so dropping it frees the levels
+            # by reference counting.
             self._l1d_access = make_flat_descent(
                 (self.l1d, self.l2, self.llc), self.dram)
-            self.l1d._descend = self._l1d_access
-            self.l2._descend = make_flat_descent(
+            self._l2_access = make_flat_descent(
                 (self.l2, self.llc), self.dram)
-            self.llc._descend = make_flat_descent((self.llc,), self.dram)
             if secure:
                 self._refetch_batch = make_refetch_batch(
                     (self.l1d, self.l2, self.llc), self.dram)

@@ -85,6 +85,34 @@ _NEVER = float("inf")
 _NO_PF_META = (False, False, False, False, False, False)
 
 
+def _reference_issuer(hierarchy, classifier):
+    """Build the readable reference prefetch issuer.
+
+    One :meth:`MemoryHierarchy.issue_prefetch` per request, so every
+    request takes the hierarchy's own walk (through the index scramble
+    when the LLC is randomized).  It captures the hierarchy and the
+    classifier, never the :class:`System`, so it adds no reference cycle.
+    """
+    issue_prefetch = hierarchy.issue_prefetch
+    if classifier is None:
+        def issue(requests, time):
+            # Requests are NamedTuples; tuple unpacking reads both fields
+            # without per-field attribute lookups.
+            for pf_block, fill_level in requests:
+                issue_prefetch(pf_block, time, fill_level)
+        return issue
+    on_real = classifier.on_real_prefetch
+
+    def issue(requests, time):
+        for pf_block, fill_level in requests:
+            # Log the *trigger*, issued or not: the Fig. 6 commit-late
+            # definition asks when the prefetcher triggered the line,
+            # even if the request was redundant by then.
+            on_real(pf_block, time)
+            issue_prefetch(pf_block, time, fill_level)
+    return issue
+
+
 @dataclass
 class SimResult:
     """Everything measured by one simulation run."""
@@ -405,9 +433,9 @@ class System:
         hit_levels = self.hit_levels
         xlq = self.xlq
         commit_loads = self._commit_loads
-        issue_requests = self._issue
+        issue_requests = _reference_issuer(hierarchy, classifier)
 
-        for ip, vaddr, flags in trace.records:
+        for ip, vaddr, flags in trace:
             seq += 1
             wrong = flags & FLAG_WRONG_PATH
             if pending_redirect and not wrong:
@@ -1754,38 +1782,25 @@ class System:
                 refetch_batch(refetch_pairs)
         return drain
 
-    def _issue(self, requests, time: int) -> None:
-        issue_prefetch = self.hierarchy.issue_prefetch
-        classifier = self.classifier
-        # Requests are NamedTuples; tuple unpacking reads both fields
-        # without per-field attribute lookups.
-        if classifier is None:
-            for pf_block, fill_level in requests:
-                issue_prefetch(pf_block, time, fill_level)
-            return
-        for pf_block, fill_level in requests:
-            # Log the *trigger*, issued or not: the Fig. 6 commit-late
-            # definition asks when the prefetcher triggered the line,
-            # even if the request was redundant by then.
-            classifier.on_real_prefetch(pf_block, time)
-            issue_prefetch(pf_block, time, fill_level)
-
     def _make_issuer(self):
-        """Fast-path twin of :meth:`_issue` (the readable reference).
+        """Build the closure that issues a prefetcher's requests.
 
         The common outcome of a prefetch request is a *drop* -- line
         already resident, already in flight, PQ or MSHR full, DRAM
         backlogged -- which the reference path pays three call frames to
-        discover (``_issue`` -> ``MemoryHierarchy.issue_prefetch`` ->
-        ``CacheLevel.issue_prefetch`` -> ``_drop_prefetch``).  This
-        closure replicates that decision chain flat, charging the same
-        counters in the same order, and only calls into ``access`` when
-        a prefetch actually enters the memory system.  With event
-        tracing attached it defers to the reference path so emission
-        sites stay in one place.
+        discover (:func:`_reference_issuer` ->
+        ``MemoryHierarchy.issue_prefetch`` -> ``CacheLevel.issue_prefetch``
+        -> ``_drop_prefetch``).  This closure replicates that decision
+        chain flat, charging the same counters in the same order, and
+        only calls into ``access`` when a prefetch actually enters the
+        memory system.  With event tracing attached it defers to the
+        reference path so emission sites stay in one place.  Like the
+        drainer, it holds the system's collaborators and never the
+        system itself.
         """
         hierarchy = self.hierarchy
-        slow_issue = self._issue
+        classifier = self.classifier
+        slow_issue = _reference_issuer(hierarchy, classifier)
         dram = hierarchy.dram
         l1d = hierarchy.l1d
         l2 = hierarchy.l2
@@ -1798,16 +1813,15 @@ class System:
         l1_outstanding = l1d._outstanding
         l1_pq = l1d._pq_times
         l1_mshr = l1d._mshr_times
-        l1_access = l1d._descend or l1d.access
+        l1_access = hierarchy._l1d_access
         l2_sets = l2.sets
         l2_mask = l2._set_mask
         l2_outstanding = l2._outstanding
         l2_pq = l2._pq_times
         l2_mshr = l2._mshr_times
-        l2_access = l2._descend or l2.access
+        l2_access = hierarchy._l2_access
         llc_issue = llc.issue_prefetch
         mshr_limit = hierarchy._l1d_mshrs
-        classifier = self.classifier
         on_real = classifier.on_real_prefetch \
             if classifier is not None else None
 

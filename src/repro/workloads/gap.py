@@ -22,8 +22,9 @@ generators.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 # The package's one NumPy probe (it honours REPRO_NO_NUMPY), shared
 # with the batch prescan.
@@ -31,7 +32,11 @@ from ..sim.batch import np as _np
 from .synthetic import REGION_GAP, TraceBuilder
 from .trace import Trace
 
-_GRAPH_CACHE: Dict[Tuple[int, int, int], Tuple[List[int], List[int]]] = {}
+#: A CSR graph: ``(offsets, neighbors)`` as ``array('q')`` columns (8 B
+#: per element, where a list of ints costs ~36 B).
+Graph = Tuple[array, array]
+
+_GRAPH_CACHE: Dict[Tuple[int, int, int], Graph] = {}
 
 OFFSETS_BASE = 1 * REGION_GAP
 NEIGHBORS_BASE = 2 * REGION_GAP
@@ -46,7 +51,7 @@ _TOP_BIT = 0x80000000
 
 
 def _np_build_graph(vertices: int, deg_lo: int, deg_span: int,
-                    seed: int) -> Optional[Tuple[List[int], List[int]]]:
+                    seed: int) -> Optional[Graph]:
     """Vectorized, draw-exact CSR construction (NumPy fast path).
 
     CPython's ``Random._randbelow(n)`` for ``n == 2**m`` draws one 32-bit
@@ -88,6 +93,7 @@ def _np_build_graph(vertices: int, deg_lo: int, deg_span: int,
     need = int(vertices * (1.0 + mean_deg)) + vertices // 8 + 4096
     words = mt.random_raw(max(4096, int(need * 2.1)))
     acc = words[words < _TOP_BIT]
+    del words  # the raw stream is twice the accepted one
     # Degree candidates as a bytes view: C-speed indexing in the walk
     # below without materializing a Python int per accepted word.
     deg_bytes = (acc >> shift_deg).astype(_np.uint8).tobytes()
@@ -121,18 +127,25 @@ def _np_build_graph(vertices: int, deg_lo: int, deg_span: int,
         _np.cumsum(degs_arr[:-1] + 1, out=deg_positions[1:])
     mask = _np.ones(pos, dtype=bool)
     mask[deg_positions] = False
-    nbr = (acc[:pos][mask] >> shift_v).astype(_np.int64)
+    nbr = acc[:pos][mask]
+    del acc, mask
+    # In place from here on: each temporary is another 8 B per edge.
+    nbr >>= shift_v  # now below ``vertices``: exact as int64
 
     # Per-vertex ascending neighbor sort, all rows at once: tag each
     # value with its row id in the high bits and sort the tagged column.
     vbits = (vertices - 1).bit_length()
-    combined = (_np.repeat(_np.arange(vertices, dtype=_np.int64),
-                           degs_arr) << vbits) | nbr
+    combined = _np.repeat(_np.arange(vertices, dtype=_np.int64), degs_arr)
+    combined <<= vbits
+    combined |= nbr.view(_np.int64)
+    del nbr
     combined.sort()
-    neighbors = (combined & ((1 << vbits) - 1)).tolist()
+    combined &= (1 << vbits) - 1
+    neighbors = array("q", combined.tobytes())
+    del combined
     offs = _np.zeros(vertices + 1, dtype=_np.int64)
     _np.cumsum(degs_arr, out=offs[1:])
-    offsets = offs.tolist()
+    offsets = array("q", offs.tobytes())
 
     # Spot check: replay the first few vertices on the scalar generator
     # and require byte-for-byte agreement, so any emulation drift (NumPy
@@ -146,14 +159,15 @@ def _np_build_graph(vertices: int, deg_lo: int, deg_span: int,
         if d != degs[v]:  # pragma: no cover - fallback guard
             return None
         row = sorted(randbelow(vertices) for _ in range(d))
-        if row != neighbors[offsets[v]:offsets[v + 1]]:
+        if row != neighbors[offsets[v]:offsets[v + 1]].tolist():
             return None  # pragma: no cover - fallback guard
     return offsets, neighbors
 
 
 def build_graph(vertices: int = 65536, degree: int = 16,
-                seed: int = 42) -> Tuple[List[int], List[int]]:
-    """Return (offsets, neighbors) of a random CSR graph (cached)."""
+                seed: int = 42) -> Graph:
+    """Return (offsets, neighbors) of a random CSR graph (cached), both
+    as ``array('q')``."""
     key = (vertices, degree, seed)
     cached = _GRAPH_CACHE.get(key)
     if cached is not None:
@@ -168,8 +182,8 @@ def build_graph(vertices: int = 65536, degree: int = 16,
         _GRAPH_CACHE[key] = graph
         return graph
     rng = random.Random(seed)
-    offsets = [0] * (vertices + 1)
-    neighbors: List[int] = []
+    offsets = array("q", [0]) * (vertices + 1)
+    neighbors = array("q")
     extend = neighbors.extend
     # randrange(a, b) reduces to a + _randbelow(b - a); calling the
     # accepted-values core directly skips the argument re-validation on
@@ -209,7 +223,7 @@ class _GraphEmitter:
 
     def visit_vertex(self, u: int, *, gather: bool = True,
                      prop_base: int = PROP_BASE,
-                     neighbor_cap: int = 64) -> List[int]:
+                     neighbor_cap: int = 64) -> Sequence[int]:
         """Emit the loads of processing vertex ``u``; return its
         neighbors."""
         b = self.builder

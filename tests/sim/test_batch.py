@@ -18,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -126,7 +127,7 @@ class TestPrescanCodes:
 
     def test_blocks_are_arithmetic_shifts(self):
         plan = self._plan()
-        assert plan.blocks == [v >> 6 for (_, v, _) in self.RECORDS]
+        assert list(plan.blocks) == [v >> 6 for (_, v, _) in self.RECORDS]
         assert plan.blocks[-1] == -1  # negative vaddr keeps its sign
 
     def test_ips_indexable(self):
@@ -171,7 +172,7 @@ class TestPrescanSamePage:
         plan = prescan(Trace("empty", []))
         assert plan.n == 0
         assert plan.committed_total == 0
-        assert plan.cum == []
+        assert list(plan.cum) == []
 
 
 class TestBackendEquivalence:
@@ -184,11 +185,28 @@ class TestBackendEquivalence:
         vec = prescan(trace)
         lib = _prescan_stdlib(*trace.columns())
         assert lib.codes == vec.codes
-        assert lib.blocks == vec.blocks
+        assert list(lib.blocks) == list(vec.blocks)
         assert list(lib.ips) == list(vec.ips)
-        assert lib.cum == vec.cum
+        assert list(lib.cum) == list(vec.cum)
         assert lib.same_page == vec.same_page
         assert lib.committed_total == vec.committed_total
+
+    def test_backends_emit_typed_columns(self):
+        from repro.workloads.spec import spec_trace
+
+        trace = spec_trace(GOLDEN_WORKLOAD, 2000)
+        plans = [_prescan_stdlib(*trace.columns())]
+        if HAVE_NUMPY:
+            plans.append(batch_mod._prescan_numpy(*trace.columns()))
+        for plan in plans:
+            for column in (plan.blocks, plan.cum):
+                assert isinstance(column, array)
+                assert column.typecode == "q"
+            assert isinstance(plan.codes, bytes)
+            assert isinstance(plan.same_page, bytes)
+            # The plan aliases the trace's ip column instead of copying it.
+            assert plan.ips is trace.columns()[0]
+        assert plan_for(trace).ips is trace.columns()[0]
 
     def test_plan_cached_per_trace(self):
         trace = Trace("t", [(1, 64, FLAG_LOAD)])

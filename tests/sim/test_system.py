@@ -262,3 +262,37 @@ class TestBatchedCommitDrain:
                       "commit_refetches"):
             assert getattr(batched.gm, field) == \
                 getattr(reference.gm, field), field
+
+
+class TestScalarScrambledLLCPrefetch:
+    """The scalar stepper issues on-access prefetches through the
+    hierarchy, so a randomized LLC scrambles SPP's LLC fills.
+
+    The counters are pinned to the reference issue path's values: a
+    shortcut that sends LLC fills to the raw, unscrambled LLC moves
+    them (``prefetches_issued`` alone goes from 65 to 156).
+    """
+
+    def test_rand_llc_spp_stats_pinned(self):
+        from repro.experiments.runner import SCALES, Config, \
+            ExperimentRunner
+        from repro.workloads.spec import spec_trace
+
+        system = ExperimentRunner(scale=SCALES["tiny"]).build_system(
+            Config(prefetcher="spp", mitigation="rand-llc"))
+        assert system.hierarchy.llc_front is not system.hierarchy.llc
+        system.batch = False
+        result = system.run(spec_trace("605.mcf-1554B", 4000))
+        assert (result.committed, result.cycles) == (10800, 18618)
+        llc = {key: value for key, value in result.llc.snapshot().items()
+               if value}
+        assert llc == {
+            "accesses.load": 674, "accesses.prefetch": 280,
+            "demand_merged_into_prefetch": 18, "hits.load": 10,
+            "hits.prefetch": 5, "load_miss_latency_count": 664,
+            "load_miss_latency_sum": 210154, "misses.load": 664,
+            "misses.prefetch": 275, "mshr_merges": 34,
+            "mshr_occupancy_samples": 905, "mshr_occupancy_sum": 15212,
+            "prefetch_fills": 259, "prefetches_dropped": 217,
+            "prefetches_issued": 65, "prefetches_useful": 28,
+        }

@@ -1,5 +1,10 @@
 """GAP-like graph workload generators."""
 
+from array import array
+
+import pytest
+
+from repro.workloads import gap
 from repro.workloads.gap import (GAP_KERNELS, NEIGHBORS_BASE, OFFSETS_BASE,
                                  PROP_BASE, bfs_trace, build_graph,
                                  gap_traces, pagerank_trace, tc_trace)
@@ -23,7 +28,7 @@ class TestBuildGraph:
     def test_rows_sorted(self):
         offsets, neighbors = build_graph(vertices=128, degree=6, seed=2)
         for v in range(128):
-            row = neighbors[offsets[v]:offsets[v + 1]]
+            row = list(neighbors[offsets[v]:offsets[v + 1]])
             assert row == sorted(row)
 
     def test_cached(self):
@@ -35,6 +40,37 @@ class TestBuildGraph:
         g1 = build_graph(vertices=64, degree=4, seed=3)
         g2 = build_graph(vertices=64, degree=4, seed=4)
         assert g1 is not g2
+
+    def test_typed_columns(self):
+        for graph in (build_graph(vertices=256, degree=16, seed=1),
+                      build_graph(vertices=100, degree=6, seed=1)):
+            for column in graph:
+                assert isinstance(column, array)
+                assert column.typecode == "q"
+
+
+class TestVectorizedGraph:
+    """The NumPy builder must actually run, not silently fall back to the
+    scalar loop (same output, several times slower set-up)."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy(self):
+        if gap._np is None:
+            pytest.skip("NumPy unavailable: only the stdlib builder runs")
+
+    def test_default_parameters_take_vectorized_path(self):
+        # build_graph's defaults: 65,536 vertices, degree 16.
+        graph = gap._np_build_graph(65536, 8, 16, 42)
+        assert graph is not None
+        assert len(graph[0]) == 65537
+
+    def test_matches_stdlib_builder(self, monkeypatch):
+        vectorized = gap._np_build_graph(1024, 8, 16, 5)
+        assert vectorized is not None
+        monkeypatch.setattr(gap, "_np", None)
+        monkeypatch.setattr(gap, "_GRAPH_CACHE", {})
+        scalar = gap.build_graph(1024, 16, 5)
+        assert vectorized == scalar
 
 
 class TestKernels:
