@@ -231,7 +231,7 @@ class BertiPrefetcher(Prefetcher):
             # needed the data.  ``access_cycle - fetch_latency`` is the
             # latest trigger time that still yields a timely prefetch.
             # History timestamps are *nearly* sorted but not monotone
-            # (the batch stepper charges ports slightly out of order),
+            # (the stepper charges ports slightly out of order),
             # so the scan cannot early-break on the first too-late
             # entry: cutting off out-of-order stragglers measurably
             # shifts the learned delta sets (it flips the

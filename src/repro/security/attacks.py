@@ -39,9 +39,8 @@ mechanism, so the set of defenses that closes each channel differs:
     conflict) channels.
 
 All attacks are pure functions of their inputs -- fixed traces, fixed
-seeds, in-process probes -- so results are byte-identical across
-``--jobs`` levels and the batch/scalar front-ends (pinned by
-tests/security/test_determinism.py).
+seeds, in-process probes -- so results are byte-identical across runs
+and ``--jobs`` levels (pinned by tests/security/test_determinism.py).
 
 :func:`run_attack` is the uniform entry point used by the matrix
 harness: ``run_attack(attack, mitigation, prefetcher, ...)`` builds the
@@ -402,7 +401,7 @@ def run_attack(attack: str, mitigation="nonsecure",
     ``prefetcher`` is a registry *name* (``"none"``/``None`` disables
     prefetching -- useful as a sanity column: prefetcher-based channels
     must then read pure noise).  Deterministic: same arguments, same
-    result, regardless of executor parallelism or batch front-end.
+    result, regardless of executor parallelism.
     """
     try:
         spec = ATTACKS[attack]

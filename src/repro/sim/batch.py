@@ -1,12 +1,12 @@
 """Batch (block-at-a-time) front-end support for :meth:`System.stepper`.
 
-The scalar stepper interprets one record tuple at a time: unpack, test
-flag bits, shift the address, count the instruction, and compare against
-the warm-up / sampler / yield thresholds -- every record, every run.  All
-of that work is a pure function of the trace, so the batch front-end
-hoists it into a one-time **prescan** that classifies every record into a
-small-int code and precomputes the per-record values the simulate loop
-would otherwise derive:
+Replaying a record means testing its flag bits, shifting its address,
+counting the instruction, and comparing against the warm-up / sampler /
+yield thresholds -- every record, every run.  All of that work is a pure
+function of the trace, so the stepper hoists it into a one-time
+**prescan** that classifies every record into a small-int code and
+precomputes the per-record values the simulate loop would otherwise
+derive:
 
 ``codes``
     one byte per record (``C_*`` below); the inner loop dispatches on it
@@ -32,16 +32,18 @@ would otherwise derive:
     guaranteed dTLB hits whose move-to-back is a no-op -- the stepper
     skips the dict probe entirely.
 
-Everything here is exact: the prescan encodes the same decisions the
-scalar loop makes, never approximations of them, and the golden suite
-(tests/sim/test_golden_stats.py, tests/sim/test_batch.py) pins the two
-paths bit-identical.
+Everything here is exact: the prescan encodes the decisions the
+per-record flag tests would make, never approximations of them, and the
+golden suite (tests/sim/test_golden_stats.py, tests/sim/test_batch.py)
+pins the stats on both prescan backends.
 
 NumPy is a **soft dependency**: when importable (and not blocked by the
 ``REPRO_NO_NUMPY`` environment variable), the prescan runs as vector
 operations; otherwise a pure-stdlib twin produces the identical plan
 (``bytes.translate`` with precomputed 256-entry tables does the record
-classification at C speed even without NumPy).
+classification at C speed even without NumPy).  The stdlib twin is
+still about 20x slower on large trace sets, so both stay and the
+platform picks one.
 """
 
 from __future__ import annotations
@@ -68,9 +70,9 @@ HAVE_NUMPY = np is not None
 
 # Record class codes.  Committed-path codes are < C_WRONG_LOAD so the
 # inner loop tests "committed?" with one compare; the prescan derives the
-# code with exactly the scalar loop's branch structure (FLAG_LOAD wins
-# over FLAG_STORE; FLAG_MISPREDICT only matters on branches; wrong-path
-# non-loads all behave identically -- dispatch slot + commit drain only).
+# code with one fixed branch structure (FLAG_LOAD wins over FLAG_STORE;
+# FLAG_MISPREDICT only matters on branches; wrong-path non-loads all
+# behave identically -- dispatch slot + commit drain only).
 C_ALU = 0
 C_BRANCH = 1
 C_MISPREDICT = 2
@@ -192,12 +194,7 @@ def plan_for(trace) -> BatchPlan:
 
 
 def batch_default() -> bool:
-    """Resolve the batch front-end default: the ``REPRO_BATCH``
-    environment variable when set (``0``/``false``/``no``/``off`` disable,
-    anything else enables), else NumPy availability.  Worker processes
-    inherit the environment, so the CLI's ``--batch/--no-batch`` applies
-    to sharded runs too."""
-    env = os.environ.get("REPRO_BATCH")
-    if env is not None:
-        return env.strip().lower() not in ("0", "false", "no", "off", "")
-    return HAVE_NUMPY
+    """Whether :meth:`System.stepper` runs the batch front-end: always,
+    since the batch front-end is the only stepper.  Kept for callers that
+    stamp it into provenance records."""
+    return True

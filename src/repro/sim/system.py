@@ -39,12 +39,16 @@ The paper's two mechanisms hook into the commit path:
   so Berti's delta timing reflects *access-time* reality even though
   training happens at commit.
 
-Performance note: :meth:`System._stepper` and :meth:`System._drain_commits`
+Performance note: there is one simulate loop, :meth:`System.stepper`.
+It replays a trace block at a time over a one-time prescan
+(:mod:`repro.sim.batch`; vectorized under NumPy, a stdlib twin
+otherwise), and it and the commit drain (:meth:`System._make_drainer`)
 inline the hierarchy's per-load fast paths (speculative load, commit
 decision, X-LQ read, dTLB hit) with all per-record state in locals; the
-corresponding methods on :class:`~repro.sim.hierarchy.Hierarchy` et al.
-remain the readable reference implementations.  docs/PERFORMANCE.md has
-the inventory; tests/sim/test_golden_stats.py pins bit-identical stats.
+corresponding methods on :class:`~repro.sim.hierarchy.MemoryHierarchy`
+et al. remain the readable reference implementations.
+docs/PERFORMANCE.md has the inventory; tests/sim/test_golden_stats.py
+pins bit-identical stats.
 """
 
 from __future__ import annotations
@@ -62,10 +66,8 @@ from ..core.xlq import LAT_MASK, TS_MASK, XLQ
 from ..obs import EventTrace, IntervalSampler, MetricRegistry, ObsConfig
 from ..prefetchers.base import (MODE_ON_ACCESS, MODE_ON_COMMIT, Prefetcher,
                                 TrainingEvent)
-from ..workloads.trace import (BLOCK_SHIFT, FLAG_BRANCH, FLAG_LOAD,
-                               FLAG_MISPREDICT, FLAG_STORE, FLAG_WRONG_PATH,
-                               Trace)
-from .batch import batch_default, plan_for
+from ..workloads.trace import Trace
+from .batch import plan_for
 from .cpu import CoreModel
 from .delay import DelayOnMissPolicy
 from .hierarchy import MemoryHierarchy
@@ -83,34 +85,6 @@ _NEVER = float("inf")
 #: training feedback) only reads it when a prefetcher exists, so one
 #: constant tuple serves every load instead of a fresh allocation each.
 _NO_PF_META = (False, False, False, False, False, False)
-
-
-def _reference_issuer(hierarchy, classifier):
-    """Build the readable reference prefetch issuer.
-
-    One :meth:`MemoryHierarchy.issue_prefetch` per request, so every
-    request takes the hierarchy's own walk (through the index scramble
-    when the LLC is randomized).  It captures the hierarchy and the
-    classifier, never the :class:`System`, so it adds no reference cycle.
-    """
-    issue_prefetch = hierarchy.issue_prefetch
-    if classifier is None:
-        def issue(requests, time):
-            # Requests are NamedTuples; tuple unpacking reads both fields
-            # without per-field attribute lookups.
-            for pf_block, fill_level in requests:
-                issue_prefetch(pf_block, time, fill_level)
-        return issue
-    on_real = classifier.on_real_prefetch
-
-    def issue(requests, time):
-        for pf_block, fill_level in requests:
-            # Log the *trigger*, issued or not: the Fig. 6 commit-late
-            # definition asks when the prefetcher triggered the line,
-            # even if the request was redundant by then.
-            on_real(pf_block, time)
-            issue_prefetch(pf_block, time, fill_level)
-    return issue
 
 
 @dataclass
@@ -186,8 +160,7 @@ class System:
                  shared_llc=None, shared_dram=None,
                  llc_scramble: int = 0,
                  obs: Optional[ObsConfig] = None,
-                 label: Optional[str] = None,
-                 batch: Optional[bool] = None) -> None:
+                 label: Optional[str] = None) -> None:
         if params is None:
             params = baseline()
         if train_mode not in (MODE_ON_ACCESS, MODE_ON_COMMIT):
@@ -262,12 +235,6 @@ class System:
         self._pending_redirect = 0
         self._seq = 0
         self._warmup_cycle = 0
-        #: Batch front-end selection: explicit argument wins, else the
-        #: ``REPRO_BATCH`` environment variable, else NumPy availability
-        #: (see :func:`repro.sim.batch.batch_default`).  Both front-ends
-        #: produce bit-identical statistics; this only picks the faster
-        #: interpreter for the machine at hand.
-        self.batch = batch_default() if batch is None else bool(batch)
         #: Lazily built commit-drain closure (see :meth:`_make_drainer`).
         self._drainer = None
         self._issuer = None
@@ -316,432 +283,15 @@ class System:
         committed-path instructions (``chunk=0`` never yields).
 
         The multi-core driver interleaves several systems' steppers by
-        time; :meth:`finalize` must be called after exhaustion.
-
-        Dispatches to the batch front-end (:meth:`_stepper_batch`) or the
-        scalar reference loop (:meth:`_stepper_scalar`) according to
-        ``self.batch``; both produce bit-identical statistics and the
-        same yield cadence, pinned by tests/sim/test_batch.py.
+        time; :meth:`finalize` must be called after exhaustion.  The
+        warm-up fraction is checked here, before the first step.
         """
         if not 0.0 <= warmup < 1.0:
             raise ValueError(f"warmup must be in [0, 1), got {warmup!r}")
-        if self.batch:
-            return self._stepper_batch(trace, warmup, chunk)
-        return self._stepper_scalar(trace, warmup, chunk)
+        return self._steps(trace, warmup, chunk)
 
-    def _stepper_scalar(self, trace: Trace, warmup: float, chunk: int):
-        """The scalar (one record at a time) simulate loop.
-
-        The loop is deliberately *flat*: the per-record core model
-        (dispatch / LQ / retire -- :class:`~repro.sim.cpu.CoreModel` is
-        the readable reference implementation) and the per-load pipeline
-        are inlined here with their state held in local variables.  The
-        locals are written back to ``self.core`` at every yield, sample,
-        and warm-up reset, so external readers (the multi-core driver's
-        ``current_cycle`` ordering, the interval sampler's occupancy
-        probes, :meth:`finalize`) always observe coherent state.  When
-        sampling is off, ``sample_at`` is an unreachable sentinel, making
-        the per-record observability cost one integer compare.
-        """
-        warmup_target = int(trace.committed_count * warmup)
-        if warmup_target >= trace.committed_count:
-            # Float-rounding guard: the warm-up reset must always leave at
-            # least one measured instruction on a non-empty trace.
-            warmup_target = max(trace.committed_count - 1, 0)
-        warmed = warmup_target == 0
-        committed = 0
-        since_yield = 0
-
-        core = self.core
-        stats = self.core_stats
-        # Core counters, localized like the cursors below; written back
-        # with them at every sync point.
-        n_instr = stats.committed_instructions
-        n_loads = stats.committed_loads
-        n_stores = stats.committed_stores
-        n_wrong_loads = stats.wrong_path_loads
-        n_mispredicts = stats.branch_mispredicts
-        sampler = self.sampler
-        commit_q = self._commit_q
-        commit_append = commit_q.append
-        drain_commits = self._drainer
-        if drain_commits is None:
-            drain_commits = self._drainer = self._make_drainer()
-        delay_policy = self.delay_policy
-        core_params = self.params.core
-        issue_latency = core_params.load_issue_latency
-        alu_latency = core_params.alu_latency
-        penalty = core_params.mispredict_penalty
-        sample_at = sampler.next_at if sampler is not None else _NEVER
-        seq = self._seq
-        pending_redirect = self._pending_redirect
-
-        # Core-model state, localized (see the docstring).  The deques
-        # are shared objects, so occupancy probes stay accurate; only the
-        # scalar cursors need explicit write-back.
-        rob = core._rob
-        lq = core._lq
-        rob_append = rob.append
-        rob_popleft = rob.popleft
-        lq_append = lq.append
-        lq_popleft = lq.popleft
-        rob_entries = core._rob_entries
-        issue_width = core._issue_width
-        retire_width_m1 = core._retire_width_m1
-        lq_entries = core._lq_entries
-        dispatch_cycle = core._dispatch_cycle
-        dispatch_slot = core._dispatch_slot
-        retire_cycle = core._retire_cycle
-        retire_slot = core._retire_slot
-        load_seq = core._load_seq
-        final_retire = core.final_retire
-
-        # Load-pipeline collaborators.
-        hierarchy = self.hierarchy
-        secure = hierarchy.secure
-        l1d_access = hierarchy._l1d_access
-        l1d = hierarchy.l1d
-        if secure:
-            gm = hierarchy.gm
-            gm_lookup = gm.lookup
-            gm_apply = gm.apply_until
-            gm_fill = gm.fill
-            gm_heap = hierarchy._gm_heap
-            gm_stats = hierarchy.gm_stats
-            gm_hit_latency = hierarchy._gm_hit_latency
-            l1d_probe = l1d.probe
-        tlb = self.tlb
-        tlb_enabled = tlb._enabled
-        tlb_stats = tlb.stats
-        dtlb_sets = tlb._dtlb_sets
-        dtlb_mask = tlb._dtlb_mask
-        tlb_miss = tlb._miss
-        prefetcher = self.prefetcher
-        # Prefetch-outcome bookkeeping (late/useful detection via stats
-        # deltas) only matters when something consumes it; without a
-        # prefetcher the whole pre/post read pair is skipped and ``meta``
-        # is a shared constant.
-        track = prefetcher is not None
-        if track:
-            l1_stats = l1d.stats
-            l2_stats = hierarchy.l2.stats
-            train_l1 = prefetcher.train_level == 0
-            train = prefetcher.train
-        classifier = self.classifier
-        on_access = self.train_mode == MODE_ON_ACCESS
-        ts_feedback = self._ts_feedback
-        hit_levels = self.hit_levels
-        xlq = self.xlq
-        commit_loads = self._commit_loads
-        issue_requests = _reference_issuer(hierarchy, classifier)
-
-        for ip, vaddr, flags in trace:
-            seq += 1
-            wrong = flags & FLAG_WRONG_PATH
-            if pending_redirect and not wrong:
-                # CoreModel.redirect, inlined.
-                if pending_redirect > dispatch_cycle:
-                    dispatch_cycle = pending_redirect
-                    dispatch_slot = 0
-                pending_redirect = 0
-            # CoreModel.dispatch, inlined.
-            if not wrong and len(rob) >= rob_entries:
-                oldest = rob_popleft()
-                if oldest > dispatch_cycle:
-                    dispatch_cycle = oldest
-                    dispatch_slot = 0
-            t_disp = dispatch_cycle
-            dispatch_slot += 1
-            if dispatch_slot >= issue_width:
-                dispatch_cycle += 1
-                dispatch_slot = 0
-            if commit_q and commit_q[0][0] <= t_disp:
-                drain_commits(t_disp)
-
-            if flags & FLAG_LOAD:
-                block = vaddr >> BLOCK_SHIFT
-                issue_time = t_disp + issue_latency
-                # CoreModel.lq_allocate, inlined.
-                if len(lq) >= lq_entries:
-                    oldest = lq_popleft()
-                    if oldest > issue_time:
-                        issue_time = oldest
-                # Address translation precedes the data-cache access; TLB
-                # misses push the access later (tlb.translate_block with
-                # its dTLB-hit fast path inlined: move-to-back keeps dict
-                # insertion order == LRU recency order).
-                if tlb_enabled:
-                    page = block >> 6
-                    tlb_stats.dtlb_accesses += 1
-                    set_ = dtlb_sets[page & dtlb_mask]
-                    if page in set_:
-                        del set_[page]
-                        set_[page] = None
-                    else:
-                        issue_time += tlb_miss(page)
-                if delay_policy is not None:
-                    l1d_hit = l1d.contains(block, issue_time)
-                    if wrong and not l1d_hit:
-                        # Delay-on-miss: a wrong-path miss never clears
-                        # the branch horizon, so its request is never
-                        # sent -- squashed (CoreModel.lq_complete inlined).
-                        lq_append(issue_time + 1)
-                        load_seq += 1
-                        n_wrong_loads += 1
-                        continue
-                    issue_time = delay_policy.issue_time(issue_time,
-                                                         l1d_hit)
-                if track:
-                    merged1_pre = l1_stats.demand_merged_into_prefetch
-                    useful1_pre = l1_stats.prefetches_useful
-                    merged2_pre = l2_stats.demand_merged_into_prefetch
-                    useful2_pre = l2_stats.prefetches_useful
-
-                if secure:
-                    # hierarchy._speculative_load, inlined (the method
-                    # remains the readable reference and the public API
-                    # via demand_load); skips two call frames and the
-                    # LoadResult allocation per load.
-                    if gm_heap and gm_heap[0][0] <= issue_time:
-                        gm_apply(issue_time)
-                    gm_line = gm_lookup(block)
-                    if gm_line is not None:
-                        gm_stats.gm_hits += 1
-                        l1d_probe(block, issue_time, REQ_LOAD)
-                        completion = issue_time + gm_hit_latency
-                        fill_time = gm_line.fill_time
-                        if fill_time > completion:
-                            completion = fill_time
-                        hit_level = 0
-                        fetch_latency = completion - issue_time
-                        gm_hit = True
-                    else:
-                        gm_stats.gm_misses += 1
-                        completion, hit_level = l1d_access(
-                            block, issue_time, REQ_LOAD, False, False,
-                            wrong == 0)
-                        fetch_latency = completion - issue_time
-                        gm_hit = False
-                        if hit_level != 0:
-                            gm_fill(block, completion, seq, fetch_latency,
-                                    wrong != 0)
-                else:
-                    # Non-secure loads go straight to the L1D -- inlining
-                    # demand_load skips the wrapper call and the
-                    # LoadResult allocation on the hottest per-load path.
-                    completion, hit_level = l1d_access(
-                        block, issue_time, REQ_LOAD, True, True,
-                        wrong == 0)
-                    fetch_latency = completion - issue_time
-                    gm_hit = False
-                # CoreModel.lq_complete, inlined.
-                lq_append(completion)
-                slot = load_seq % lq_entries
-                load_seq += 1
-                miss_l1 = hit_level >= 1
-
-                if hit_levels is not None and not wrong:
-                    hit_levels.record(slot, hit_level)
-
-                if track:
-                    late_l1 = \
-                        l1_stats.demand_merged_into_prefetch > merged1_pre
-                    useful_l1 = l1_stats.prefetches_useful > useful1_pre
-                    late_l2 = \
-                        l2_stats.demand_merged_into_prefetch > merged2_pre
-                    useful_l2 = l2_stats.prefetches_useful > useful2_pre
-                    miss_l2 = hit_level >= 2
-
-                    if xlq is not None and not wrong:
-                        if miss_l1 and not gm_hit:
-                            xlq.record_miss(slot, issue_time)
-                            xlq.record_fill(slot, fetch_latency)
-                        elif useful_l1:
-                            line = l1d.lookup(block)
-                            line_latency = line.latency \
-                                if line is not None else fetch_latency
-                            xlq.record_prefetch_hit(slot, issue_time,
-                                                    line_latency)
-
-                    if classifier is not None or on_access:
-                        # Under on-commit training without a classifier,
-                        # nothing consumes an access-time event -- skip
-                        # its construction.
-                        event = TrainingEvent(
-                            ip, block, hit_level == 0, issue_time,
-                            issue_time, fetch_latency, hit_level,
-                            useful_l1 if train_l1 else useful_l2)
-
-                    if classifier is not None:
-                        # A late prefetch may be merged at either level
-                        # (L1-fill requests are demoted to the L2 under
-                        # MSHR pressure).
-                        late_any = late_l1 or late_l2
-                        if train_l1 or miss_l1:
-                            classifier.on_access(event)
-                        if train_l1 and miss_l1:
-                            classifier.classify_miss(block, issue_time,
-                                                     late_any)
-                        elif not train_l1 and miss_l2:
-                            classifier.classify_miss(block, issue_time,
-                                                     late_any)
-
-                    if on_access:
-                        if train_l1 or miss_l1:
-                            requests = train(event)
-                            if requests:
-                                issue_requests(requests, issue_time)
-                        if ts_feedback and not wrong:
-                            if train_l1:
-                                prefetcher.note_demand(miss_l1, late_l1,
-                                                       useful_l1)
-                            else:
-                                prefetcher.note_demand(miss_l2, late_l2,
-                                                       useful_l2)
-                    meta = (miss_l1, miss_l2, late_l1, late_l2,
-                            useful_l1, useful_l2)
-                else:
-                    meta = _NO_PF_META
-
-                if wrong:
-                    n_wrong_loads += 1
-                    continue
-                n_loads += 1
-                if delay_policy is not None:
-                    delay_policy.note_load_completion(completion)
-                # CoreModel.retire, inlined.
-                ready = t_disp + 1
-                if completion > ready:
-                    ready = completion
-                if ready > retire_cycle:
-                    retire_cycle = ready
-                    retire_slot = 0
-                elif retire_slot < retire_width_m1:
-                    retire_slot += 1
-                else:
-                    retire_cycle += 1
-                    retire_slot = 0
-                rob_append(retire_cycle)
-                if retire_cycle > final_retire:
-                    final_retire = retire_cycle
-                if commit_loads:
-                    commit_append((retire_cycle, True,
-                                   (ip, block, hit_level, issue_time,
-                                    fetch_latency, slot, meta)))
-            elif flags & FLAG_STORE:
-                if wrong:
-                    continue
-                # CoreModel.retire, inlined (stores complete in the ALU
-                # pipeline; the L1D write happens at commit time).
-                ready = t_disp + 1
-                completion = t_disp + alu_latency
-                if completion > ready:
-                    ready = completion
-                if ready > retire_cycle:
-                    retire_cycle = ready
-                    retire_slot = 0
-                elif retire_slot < retire_width_m1:
-                    retire_slot += 1
-                else:
-                    retire_cycle += 1
-                    retire_slot = 0
-                rob_append(retire_cycle)
-                if retire_cycle > final_retire:
-                    final_retire = retire_cycle
-                commit_append((retire_cycle, False, vaddr >> BLOCK_SHIFT))
-                n_stores += 1
-            else:
-                if wrong:
-                    continue
-                completion = t_disp + alu_latency
-                if flags & FLAG_BRANCH:
-                    if delay_policy is not None:
-                        completion = delay_policy.note_branch(completion)
-                    if flags & FLAG_MISPREDICT:
-                        pending_redirect = completion + penalty
-                        n_mispredicts += 1
-                # CoreModel.retire, inlined.
-                ready = t_disp + 1
-                if completion > ready:
-                    ready = completion
-                if ready > retire_cycle:
-                    retire_cycle = ready
-                    retire_slot = 0
-                elif retire_slot < retire_width_m1:
-                    retire_slot += 1
-                else:
-                    retire_cycle += 1
-                    retire_slot = 0
-                rob_append(retire_cycle)
-                if retire_cycle > final_retire:
-                    final_retire = retire_cycle
-
-            committed += 1
-            n_instr += 1
-            if not warmed and committed >= warmup_target:
-                warmed = True
-                core._dispatch_cycle = dispatch_cycle
-                core._dispatch_slot = dispatch_slot
-                core._retire_cycle = retire_cycle
-                core._retire_slot = retire_slot
-                core._load_seq = load_seq
-                core.final_retire = final_retire
-                self._reset_measurement()
-                n_instr = stats.committed_instructions
-                n_loads = stats.committed_loads
-                n_stores = stats.committed_stores
-                n_wrong_loads = stats.wrong_path_loads
-                n_mispredicts = stats.branch_mispredicts
-                if sampler is not None:
-                    sample_at = sampler.next_at
-            elif n_instr >= sample_at:
-                stats.committed_instructions = n_instr
-                stats.committed_loads = n_loads
-                stats.committed_stores = n_stores
-                stats.wrong_path_loads = n_wrong_loads
-                stats.branch_mispredicts = n_mispredicts
-                core._dispatch_cycle = dispatch_cycle
-                core._dispatch_slot = dispatch_slot
-                core._retire_cycle = retire_cycle
-                core._retire_slot = retire_slot
-                core._load_seq = load_seq
-                core.final_retire = final_retire
-                sampler.sample(self)
-                sample_at = sampler.next_at
-            if chunk:
-                since_yield += 1
-                if since_yield >= chunk:
-                    since_yield = 0
-                    self._seq = seq
-                    self._pending_redirect = pending_redirect
-                    stats.committed_instructions = n_instr
-                    stats.committed_loads = n_loads
-                    stats.committed_stores = n_stores
-                    stats.wrong_path_loads = n_wrong_loads
-                    stats.branch_mispredicts = n_mispredicts
-                    core._dispatch_cycle = dispatch_cycle
-                    core._dispatch_slot = dispatch_slot
-                    core._retire_cycle = retire_cycle
-                    core._retire_slot = retire_slot
-                    core._load_seq = load_seq
-                    core.final_retire = final_retire
-                    yield
-        self._seq = seq
-        self._pending_redirect = pending_redirect
-        stats.committed_instructions = n_instr
-        stats.committed_loads = n_loads
-        stats.committed_stores = n_stores
-        stats.wrong_path_loads = n_wrong_loads
-        stats.branch_mispredicts = n_mispredicts
-        core._dispatch_cycle = dispatch_cycle
-        core._dispatch_slot = dispatch_slot
-        core._retire_cycle = retire_cycle
-        core._retire_slot = retire_slot
-        core._load_seq = load_seq
-        core.final_retire = final_retire
-
-    def _stepper_batch(self, trace: Trace, warmup: float, chunk: int):
-        """Batch (block at a time) simulate loop.
+    def _steps(self, trace: Trace, warmup: float, chunk: int):
+        """The simulate loop, block at a time.
 
         A one-time prescan (:mod:`repro.sim.batch`, vectorized under
         NumPy) classifies every record into a small-int code and
@@ -751,15 +301,19 @@ class System:
         warm-up reset, sampler interval, multicore yield -- at an exact
         record index, so the inner loop carries **zero** per-record
         boundary checks, flag tests, or address arithmetic; it dispatches
-        on the precomputed code and falls into the same inlined per-load
-        pipeline as the scalar loop (plus an L1D plain-hit fast path
-        whose guard, ``fill_time <= issue_time + latency``, is
-        conservative: any load it accepts would be a plain hit under any
-        port schedule, so the full ``CacheLevel.access`` only runs for
-        misses and in-flight fills).  Timing-dependent work -- cache
-        misses, DRAM, prefetcher callbacks, commit drains -- is exactly
-        the scalar code; statistics are bit-identical by construction and
-        pinned by the golden suite.
+        on the precomputed code.
+
+        The per-record core model (dispatch / LQ / retire --
+        :class:`~repro.sim.cpu.CoreModel` is the readable reference) and
+        the per-load pipeline are inlined with their state in locals,
+        written back to ``self.core`` at every yield, sample and warm-up
+        reset so the multi-core driver, the sampler's occupancy probes
+        and :meth:`finalize` always observe coherent state.  An L1D
+        plain-hit fast path skips ``CacheLevel.access``; its guard,
+        ``fill_time <= issue_time + latency``, is conservative: any load
+        it accepts would be a plain hit under any port schedule, so the
+        full access only runs for misses and in-flight fills.  The golden
+        suite pins the statistics bit-identical.
         """
         plan = plan_for(trace)
         n = plan.n
@@ -916,9 +470,9 @@ class System:
         while i < n:
             # Earliest boundary ahead, as a committed-record count; the
             # prefix-count search turns it into an exclusive record index.
-            # Every candidate is strictly greater than ``committed`` (the
-            # scalar loop fires each at equality and then advances it), so
-            # the block is never empty.
+            # Every candidate is strictly greater than ``committed`` (each
+            # boundary fires at equality and then advances), so the block
+            # is never empty.
             bound = warmup_target if not warmed else None
             if sampler is not None:
                 c_sample = committed + sample_at - n_instr
@@ -1471,9 +1025,9 @@ class System:
                         n_wrong_loads += 1
                     # C_WRONG_OTHER: nothing further.
 
-            # Block accounting + the boundary actions, in the scalar
-            # loop's exact order (warm-up reset takes precedence over a
-            # coinciding sample; a coinciding yield still fires).
+            # Block accounting + the boundary actions, in a fixed order
+            # (warm-up reset takes precedence over a coinciding sample; a
+            # coinciding yield still fires).
             new_committed = cum[stop - 1]
             delta = new_committed - committed
             committed = new_committed
@@ -1596,7 +1150,7 @@ class System:
         """Drain queued commit actions due at or before ``until``.
 
         Delegates to the cached closure from :meth:`_make_drainer`; the
-        steppers hoist that closure directly, so the ~20-collaborator
+        stepper hoists that closure directly, so the ~20-collaborator
         preamble runs once per system instead of once per drain call.
         """
         drainer = self._drainer
@@ -1788,19 +1342,19 @@ class System:
         The common outcome of a prefetch request is a *drop* -- line
         already resident, already in flight, PQ or MSHR full, DRAM
         backlogged -- which the reference path pays three call frames to
-        discover (:func:`_reference_issuer` ->
-        ``MemoryHierarchy.issue_prefetch`` -> ``CacheLevel.issue_prefetch``
-        -> ``_drop_prefetch``).  This closure replicates that decision
-        chain flat, charging the same counters in the same order, and
-        only calls into ``access`` when a prefetch actually enters the
-        memory system.  With event tracing attached it defers to the
-        reference path so emission sites stay in one place.  Like the
-        drainer, it holds the system's collaborators and never the
-        system itself.
+        discover (``MemoryHierarchy.issue_prefetch`` ->
+        ``CacheLevel.issue_prefetch`` -> ``_drop_prefetch``).  This
+        closure replicates that decision chain flat, charging the same
+        counters in the same order, and only calls into ``access`` when
+        a prefetch actually enters the memory system.  LLC fills go
+        through ``llc_front``, the index scramble when the LLC is
+        randomized.  With event tracing attached it takes the reference
+        path so emission sites stay in one place.  Like the drainer, it
+        holds the system's collaborators and never the system itself.
         """
         hierarchy = self.hierarchy
         classifier = self.classifier
-        slow_issue = _reference_issuer(hierarchy, classifier)
+        hierarchy_issue = hierarchy.issue_prefetch
         dram = hierarchy.dram
         l1d = hierarchy.l1d
         l2 = hierarchy.l2
@@ -1820,7 +1374,7 @@ class System:
         l2_pq = l2._pq_times
         l2_mshr = l2._mshr_times
         l2_access = hierarchy._l2_access
-        llc_issue = llc.issue_prefetch
+        llc_issue = hierarchy.llc_front.issue_prefetch
         mshr_limit = hierarchy._l1d_mshrs
         on_real = classifier.on_real_prefetch \
             if classifier is not None else None
@@ -1828,10 +1382,19 @@ class System:
         def issue(requests, time):
             if l1d.events is not None or l2.events is not None \
                     or llc.events is not None:
-                slow_issue(requests, time)
+                for pf_block, fill_level in requests:
+                    if on_real is not None:
+                        on_real(pf_block, time)
+                    hierarchy_issue(pf_block, time, fill_level)
                 return
+            # Requests are NamedTuples; tuple unpacking reads both fields
+            # without per-field attribute lookups.
             for pf_block, fill_level in requests:
                 if on_real is not None:
+                    # Log the *trigger*, issued or not: the Fig. 6
+                    # commit-late definition asks when the prefetcher
+                    # triggered the line, even if the request was
+                    # redundant by then.
                     on_real(pf_block, time)
                 # hierarchy.issue_prefetch, inlined: the DRAM low-priority
                 # backlog throttle runs first, charging the *requested*

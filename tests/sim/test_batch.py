@@ -7,10 +7,10 @@ Three layers of pinning:
   carries, on hand-built traces covering every flag combination.
 * **Backend equivalence** -- the NumPy and stdlib prescans produce the
   same plan, field for field, on a real generated trace.
-* **Golden bit-identity** -- the batch stepper (NumPy prescan *and*
-  forced-stdlib prescan) and the scalar stepper all reproduce the golden
-  stats snapshots from tests/sim/test_golden_stats.py, and a subprocess
-  with ``numpy`` import-poisoned silently selects the scalar path with
+* **Golden bit-identity** -- the stepper reproduces the golden stats
+  snapshots from tests/sim/test_golden_stats.py on the NumPy prescan
+  *and* the forced-stdlib prescan, and a subprocess with ``numpy``
+  import-poisoned runs the same stepper on the stdlib prescan with
   identical results.
 """
 
@@ -27,7 +27,7 @@ from repro.sim import batch as batch_mod
 from repro.sim.batch import (C_ALU, C_BRANCH, C_LOAD, C_MISPREDICT,
                              C_STORE, C_WRONG_LOAD, C_WRONG_OTHER,
                              CODE_TABLE, HAVE_NUMPY, _prescan_stdlib,
-                             batch_default, plan_for, prescan)
+                             plan_for, prescan)
 from repro.workloads.trace import (FLAG_BRANCH, FLAG_LOAD, FLAG_MISPREDICT,
                                    FLAG_STORE, FLAG_WRONG_PATH, Trace)
 
@@ -71,13 +71,12 @@ def _snapshot(result):
     }
 
 
-def _run_config(name, batch):
+def _run_config(name):
     from repro.perf.suites import _system
     from repro.workloads.spec import spec_trace
 
     trace = spec_trace(GOLDEN_WORKLOAD, GOLDEN_LOADS)
     system = _system(dict(GOLDEN_CONFIGS[name]))
-    system.batch = batch
     return _snapshot(system.run(trace, warmup=GOLDEN_WARMUP))
 
 
@@ -115,8 +114,8 @@ class TestPrescanCodes:
         assert list(self._plan().codes) == self.EXPECTED_CODES
 
     def test_load_wins_over_store(self):
-        # The scalar loop tests FLAG_LOAD first; a (nonsensical)
-        # load+store record must classify as a load on both backends.
+        # FLAG_LOAD is tested first; a (nonsensical) load+store record
+        # must classify as a load on both backends.
         both = FLAG_LOAD | FLAG_STORE
         assert CODE_TABLE[both] == C_LOAD
         assert CODE_TABLE[both | FLAG_WRONG_PATH] == C_WRONG_LOAD
@@ -213,60 +212,36 @@ class TestBackendEquivalence:
         assert plan_for(trace) is plan_for(trace)
 
 
-class TestBatchDefault:
-    def test_env_overrides(self, monkeypatch):
-        for value, expected in [("1", True), ("true", True), ("on", True),
-                                ("0", False), ("false", False),
-                                ("no", False), ("off", False), ("", False)]:
-            monkeypatch.setenv("REPRO_BATCH", value)
-            assert batch_default() is expected, value
-
-    def test_defaults_to_numpy_availability(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert batch_default() is HAVE_NUMPY
-
-    def test_system_batch_kwarg_wins(self):
-        from repro.sim.system import System
-        assert System(batch=True).batch is True
-        assert System(batch=False).batch is False
-
-
 # ---------------------------------------------------------------------------
-# golden bit-identity: batch on / batch off / forced-stdlib prescan
+# golden bit-identity: NumPy prescan / forced-stdlib prescan
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
 def test_batch_stepper_matches_golden(name):
-    _assert_matches_golden(name, _run_config(name, batch=True))
+    _assert_matches_golden(name, _run_config(name))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
-def test_scalar_stepper_matches_golden(name):
-    _assert_matches_golden(name, _run_config(name, batch=False))
-
-
-def test_batch_with_stdlib_prescan_matches_golden(monkeypatch):
-    # Batch stepper fed by the pure-stdlib prescan: the fallback must be
+def test_batch_with_stdlib_prescan_matches_golden(name, monkeypatch):
+    # The stepper fed by the pure-stdlib prescan: the fallback must be
     # exact, not merely close.
     monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
-    _assert_matches_golden("baseline", _run_config("baseline", batch=True))
+    _assert_matches_golden(name, _run_config(name))
 
 
-def test_empty_trace_runs_on_both_paths():
+def test_empty_trace_runs():
     from repro.sim.system import System
-    for batch in (True, False):
-        result = System(batch=batch).run(Trace("empty", []), warmup=0.0)
-        assert result.committed == 0
-        assert result.ipc == 0.0
-        assert result.mpki(result.l1d) == 0.0
+    result = System().run(Trace("empty", []), warmup=0.0)
+    assert result.committed == 0
+    assert result.ipc == 0.0
+    assert result.mpki(result.l1d) == 0.0
 
 
-def test_warmup_one_rejected_on_both_paths():
+def test_warmup_one_rejected():
     from repro.sim.system import System
     trace = Trace("t", [(1, 64, FLAG_LOAD)])
-    for batch in (True, False):
-        with pytest.raises(ValueError, match="warmup"):
-            System(batch=batch).run(trace, warmup=1.0)
+    with pytest.raises(ValueError, match="warmup"):
+        System().run(trace, warmup=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +251,16 @@ def test_warmup_one_rejected_on_both_paths():
 _POISONED_SCRIPT = """\
 import json, sys
 sys.modules["numpy"] = None  # any 'import numpy' now raises ImportError
-from repro.sim.batch import HAVE_NUMPY, batch_default
-assert not HAVE_NUMPY, "poisoned numpy import must disable the backend"
-assert batch_default() is False
+from repro.sim import batch
+assert not batch.HAVE_NUMPY, "poisoned numpy import must disable the backend"
 from repro.perf.suites import _system
 from repro.workloads.spec import spec_trace
 trace = spec_trace({workload!r}, {loads})
 system = _system({config})
-assert system.batch is False, "System must silently select the scalar path"
+assert getattr(trace, "_batch_plan", None) is None
 result = system.run(trace, warmup={warmup})
+# With HAVE_NUMPY false, the plan the stepper cached is the stdlib one.
+assert trace._batch_plan is not None, "the stepper must run on a plan"
 print(json.dumps({{
     "committed": result.committed, "cycles": result.cycles,
     "ipc": result.ipc, "core": result.core.snapshot(),
@@ -303,7 +279,6 @@ def test_no_numpy_subprocess_bit_identical():
         workload=GOLDEN_WORKLOAD, loads=GOLDEN_LOADS,
         config=dict(GOLDEN_CONFIGS["baseline"]), warmup=GOLDEN_WARMUP)
     env = dict(os.environ)
-    env.pop("REPRO_BATCH", None)
     env.pop("REPRO_NO_NUMPY", None)
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -314,12 +289,10 @@ def test_no_numpy_subprocess_bit_identical():
 
 
 def test_repro_no_numpy_env_forces_fallback():
-    script = ("from repro.sim.batch import HAVE_NUMPY, batch_default\n"
+    script = ("from repro.sim.batch import HAVE_NUMPY\n"
               "assert not HAVE_NUMPY\n"
-              "assert batch_default() is False\n"
               "print('ok')\n")
     env = dict(os.environ)
-    env.pop("REPRO_BATCH", None)
     env["REPRO_NO_NUMPY"] = "1"
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")

@@ -264,13 +264,14 @@ class TestBatchedCommitDrain:
                 getattr(reference.gm, field), field
 
 
-class TestScalarScrambledLLCPrefetch:
-    """The scalar stepper issues on-access prefetches through the
-    hierarchy, so a randomized LLC scrambles SPP's LLC fills.
+class TestScrambledLLCPrefetch:
+    """On-access prefetches reach a randomized LLC through its index
+    scramble, so SPP's LLC fills land in scrambled sets.
 
-    The counters are pinned to the reference issue path's values: a
-    shortcut that sends LLC fills to the raw, unscrambled LLC moves
-    them (``prefetches_issued`` alone goes from 65 to 156).
+    The counters are pinned to the hierarchy's reference issue path
+    (``MemoryHierarchy.issue_prefetch``): a shortcut that sends LLC fills
+    to the raw, unscrambled LLC moves them (``prefetches_issued`` alone
+    goes from 65 to 156).
     """
 
     def test_rand_llc_spp_stats_pinned(self):
@@ -281,7 +282,6 @@ class TestScalarScrambledLLCPrefetch:
         system = ExperimentRunner(scale=SCALES["tiny"]).build_system(
             Config(prefetcher="spp", mitigation="rand-llc"))
         assert system.hierarchy.llc_front is not system.hierarchy.llc
-        system.batch = False
         result = system.run(spec_trace("605.mcf-1554B", 4000))
         assert (result.committed, result.cycles) == (10800, 18618)
         llc = {key: value for key, value in result.llc.snapshot().items()

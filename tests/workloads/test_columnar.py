@@ -173,7 +173,7 @@ class TestStaysColumnar:
         plan_for(trace)
         trace_fingerprint(trace)
         save_trace(trace, tmp_path / "t.rtrace")
-        System(batch=True).run(trace)
+        System().run(trace)
         assert trace._records is None
 
 
