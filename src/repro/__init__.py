@@ -17,7 +17,10 @@ Public API tour:
 * :mod:`repro.security` -- Spectre-style prefetch covert-channel harness.
 * :mod:`repro.energy` -- dynamic-energy model of the memory hierarchy.
 * :mod:`repro.analysis` -- metrics (speedup, APKI, MPKI, accuracy, ...).
-* :mod:`repro.experiments` -- one driver per paper table and figure.
+* :mod:`repro.experiments` -- the memoizing experiment runner and the
+  paper's tables.
+* :mod:`repro.campaign` -- the spec engine that renders every data
+  figure from ``campaigns/*.json``.
 
 Quickstart::
 

@@ -1,6 +1,6 @@
 """Plain-text table/series rendering for experiment outputs.
 
-Every experiment driver produces rows that these helpers print in the
+Every campaign output produces rows that these helpers print in the
 layout of the paper's figures (bar groups become columns, series become
 rows), so benchmark logs read like the paper's tables.
 """

@@ -86,14 +86,24 @@ def provenance(generator: str) -> dict:
     }
 
 
+def figure_cells(result) -> dict:
+    """One rendered figure stripped to numbers: ``{"columns": [...],
+    "rows": {label: [cell]}}`` (``None`` cells stay ``None``)."""
+    return {
+        "columns": [str(column) for column in result.columns],
+        "rows": {label: [None if cell is None else float(cell)
+                         for cell in cells]
+                 for label, cells in result.rows.items()},
+    }
+
+
 def render_figures(scale: str = SCALE,
                    progress: Optional[Callable[[str], None]] = None
                    ) -> Dict[str, dict]:
     """Render every committed campaign spec; return the numeric cells.
 
-    One entry per spec: ``{"columns": [...], "rows": {label: [cell]}}``
-    -- exactly the figure the campaign renders, stripped to numbers
-    (non-finite / ``None`` cells are preserved as ``None``).
+    One :func:`figure_cells` entry per spec: exactly the figure the
+    campaign renders, stripped to numbers.
     """
     from ..campaign import load_spec, run_campaign
     from ..experiments.runner import SCALES, ExperimentRunner
@@ -104,15 +114,7 @@ def render_figures(scale: str = SCALE,
             progress(path.stem)
         spec = load_spec(path)
         runner = ExperimentRunner(scale=SCALES[scale], store=None)
-        result = run_campaign(spec, runner)
-        rows = {}
-        for label, cells in result.rows.items():
-            rows[label] = [
-                None if cell is None else float(cell) for cell in cells]
-        figures[path.stem] = {
-            "columns": [str(column) for column in result.columns],
-            "rows": rows,
-        }
+        figures[path.stem] = figure_cells(run_campaign(spec, runner))
     return figures
 
 

@@ -1,9 +1,9 @@
 """Named derived-output metrics the campaign engine can evaluate.
 
 Each metric is a reducer from (runner, configuration[, trace]) to the
-value one figure cell plots.  They reproduce the legacy figure drivers'
-arithmetic *exactly* (same helpers, same operation order), which is what
-makes spec-driven figures bit-identical to the imperative ones.
+value one figure cell plots.  Their arithmetic (helpers and operation
+order) is pinned cell by cell by ``campaigns/golden/figures_golden.json``;
+``repro figcheck`` fails when a change moves a cell.
 
 Scopes and kinds
 ----------------

@@ -14,10 +14,12 @@ Commands
 ``compare``
     Run the paper's standard configurations side by side on one workload.
 ``figure``
-    Regenerate one of the paper's figures (fig1, fig3, ..., fig15).
+    Render one committed campaign spec (fig1, fig3, ..., fig15,
+    suf_statistics, ...) through the campaign engine.
 ``sweep``
-    Run a whole set of figures through the fault-tolerant execution
-    layer, with a persistent result store for resume support.
+    Render a set of committed campaign specs (default: all of them)
+    through the fault-tolerant execution layer, with a persistent
+    result store for resume support.
 ``campaign``
     Run one declarative campaign spec (``campaigns/<name>.json`` or any
     spec file) through the same execution layer; ``--dry-run`` prints
@@ -41,18 +43,13 @@ Commands
 ``security-matrix``
     Render the attack x defense x prefetcher matrix: per-cell leakage
     plus each defense's geomean IPC cost (docs/SECURITY.md).
-``serve``
-    Run the crash-safe job service: a WAL-journaled, draining-on-SIGTERM
-    daemon that executes submitted simulations (docs/RESILIENCE.md).
-``submit``
-    Submit one simulation to a running service; ``--wait`` polls until
-    it is done and prints the result metrics.
-``drain``
-    Ask a running service to drain gracefully and shut down.
+``multicore``
+    Run multi-core mixes under one configuration and print each mix's
+    weighted speedup.
+``report``
+    Assemble ``benchmarks/results/*.txt`` into one markdown report.
 
-Signals: every command exits 130 on SIGINT and 143 on SIGTERM; for
-``serve`` both trigger the graceful-drain path (in-flight jobs finish,
-the WAL is flushed) before exiting.
+Signals: every command exits 130 on SIGINT and 143 on SIGTERM.
 
 Examples
 --------
@@ -71,21 +68,17 @@ Examples
     python -m repro attack --secure --mode on-commit
     python -m repro attack --attack prime-probe --mitigation rand-llc
     python -m repro security-matrix --scale tiny --jobs 2
-    python -m repro serve --store .repro-store --jobs 2
-    python -m repro submit bfs --loads 3000 --secure --wait
-    python -m repro drain
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
 from typing import List, Optional
 
 from .analysis.metrics import apki_breakdown, load_miss_latency, mpki
-from .exec.options import ExecOptions, default_store, exec_arguments
+from .exec.options import ExecOptions, exec_arguments
 from .experiments.runner import SCALES, ExperimentRunner
 from .obs import ObsConfig, events_jsonl, write_timeseries
 from .prefetchers.base import MODE_ON_ACCESS, MODE_ON_COMMIT
@@ -93,9 +86,6 @@ from .sim.system import System
 from .workloads.gap import GAP_KERNELS, gap_traces
 from .workloads.spec import SPEC_WORKLOADS, spec_trace
 from .workloads.trace import Trace
-
-#: Default result-store directory (overridable via REPRO_STORE or --store).
-DEFAULT_STORE = default_store()
 
 
 def _require_positive(value: int, flag: str) -> int:
@@ -257,17 +247,39 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _committed_specs() -> List[str]:
+    """Names of the committed campaign specs (``campaigns/*.json``)."""
+    from .campaign import campaigns_dir
+    root = campaigns_dir()
+    return sorted(p.stem for p in root.glob("*.json")) if root else []
+
+
+def _render_figure(runner: ExperimentRunner, name: str):
+    """Render the committed spec ``name`` on ``runner``.
+
+    With a failsoft runner, cells whose simulation permanently failed
+    render as ``n/a`` and a failure summary (which cell, why) is
+    appended to the figure text instead of the figure aborting.
+    """
+    from .campaign import find_campaign_spec, load_spec, run_campaign
+    already_failed = len(runner.failures)
+    result = run_campaign(load_spec(find_campaign_spec(name)), runner)
+    new_failures = runner.failures[already_failed:]
+    if new_failures:
+        result.text += "\n\n" + runner.failure_summary(new_failures)
+    return result
+
+
 def cmd_figure(args) -> int:
-    from .experiments.figures import figure_drivers, run_figure
-    drivers = figure_drivers()
-    if args.name not in drivers:
+    from .campaign import find_campaign_spec
+    if find_campaign_spec(args.name) is None:
         # Checked before any runner/store is built so a typo'd name is a
         # one-line error, not a traceback after pool construction.
         raise SystemExit(f"unknown figure {args.name!r}; "
-                         f"known: {sorted(drivers)}")
+                         f"known: {_committed_specs()}")
     runner = _exec_runner(args)
     try:
-        result = run_figure(runner, args.name)
+        result = _render_figure(runner, args.name)
     except ValueError as exc:
         raise SystemExit(str(exc))
     print(result.text)
@@ -293,13 +305,9 @@ def cmd_campaign(args) -> int:
     if not path.is_file():
         found = find_campaign_spec(args.spec)
         if found is None:
-            from .campaign import campaigns_dir
-            root = campaigns_dir()
-            known = sorted(p.stem for p in root.glob("*.json")) \
-                if root else []
             raise SystemExit(
                 f"no campaign spec {args.spec!r} (not a file, and not a "
-                f"committed campaign); known: {known}")
+                f"committed campaign); known: {_committed_specs()}")
         path = found
     try:
         spec = load_spec(path)
@@ -334,25 +342,25 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Run a figure set through the fault-tolerant executor.
+    """Render a set of committed specs through the fault-tolerant
+    executor, all on one runner (default: every committed spec).
 
     The persistent store gives resume semantics: an interrupted sweep
     rerun with the same store recomputes only the missing records, and a
     fully cached sweep performs zero simulations (verifiable with
     ``--expect-cached``).
     """
-    from .experiments.figures import figure_drivers, run_figure
-    drivers = figure_drivers()
-    names = args.figures or sorted(drivers)
-    unknown = [n for n in names if n not in drivers]
+    from .campaign import find_campaign_spec
+    names = args.figures or _committed_specs()
+    unknown = [n for n in names if find_campaign_spec(n) is None]
     if unknown:
         raise SystemExit(f"unknown figure(s) {unknown}; "
-                         f"known: {sorted(drivers)}")
+                         f"known: {_committed_specs()}")
     runner = _exec_runner(args)
     broken: List[str] = []
     for name in names:
         try:
-            result = run_figure(runner, name)
+            result = _render_figure(runner, name)
         except Exception as exc:
             # One broken figure (e.g. a trace absent at this scale) must
             # not abort the rest of the sweep.
@@ -436,13 +444,6 @@ def cmd_multicore(args) -> int:
 def cmd_report(args) -> int:
     """Assemble benchmarks/results/*.txt into one markdown report."""
     from pathlib import Path
-    if args.figures:
-        from .experiments.figures import figure_drivers
-        drivers = figure_drivers()
-        unknown = [n for n in args.figures if n not in drivers]
-        if unknown:
-            raise SystemExit(f"unknown figure(s) {unknown}; "
-                             f"known: {sorted(drivers)}")
     results = Path(args.results_dir)
     if not results.is_dir():
         raise SystemExit(
@@ -450,6 +451,11 @@ def cmd_report(args) -> int:
             "`pytest benchmarks/ --benchmark-only` first")
     files = sorted(results.glob("*.txt"))
     if args.figures:
+        stems = [p.stem for p in files]
+        unknown = [n for n in args.figures if n not in stems]
+        if unknown:
+            raise SystemExit(f"unknown figure(s) {unknown}; "
+                             f"known: {stems}")
         files = [p for p in files if p.stem in args.figures]
     if not files:
         raise SystemExit(f"{results}: empty -- run the benchmarks first")
@@ -630,75 +636,6 @@ def cmd_security_matrix(args) -> int:
     return 0
 
 
-def _fault_plan_from_env():
-    from .exec.faults import FaultPlan
-    try:
-        return FaultPlan.from_env()
-    except ValueError as exc:
-        raise SystemExit(f"REPRO_FAULTS: {exc}")
-
-
-def cmd_serve(args) -> int:
-    from .service import JobService, ServiceServer
-    service = JobService(
-        args.store,
-        workers=_require_positive(args.jobs, "--jobs"),
-        queue_size=args.queue_size,
-        quota=args.quota,
-        heartbeat_s=args.heartbeat,
-        backoff_s=args.backoff,
-        breaker_threshold=_require_positive(args.breaker, "--breaker"),
-        fault_plan=_fault_plan_from_env())
-    server = ServiceServer(service, host=args.host, port=args.port,
-                           drain_timeout_s=args.drain_timeout)
-    return server.run()
-
-
-def _service_client(args):
-    from .service import ServiceClient
-    if args.host is not None or args.port is not None:
-        if args.host is None or args.port is None:
-            raise SystemExit("pass both --host and --port, or neither")
-        return ServiceClient(host=args.host, port=args.port,
-                             timeout_s=args.timeout)
-    return ServiceClient(args.store, timeout_s=args.timeout)
-
-
-def cmd_submit(args) -> int:
-    from .service import ServiceUnavailable
-    client = _service_client(args)
-    spec = {"workload": args.workload, "loads": args.loads,
-            "prefetcher": args.prefetcher, "secure": args.secure,
-            "suf": args.suf, "mode": args.mode}
-    try:
-        reply = client.submit(spec, client=args.client,
-                              priority=args.priority)
-        if reply.get("status") == "rejected":
-            print(json.dumps(reply, sort_keys=True))
-            return 1
-        if args.wait:
-            reply = client.wait_for(reply["id"], timeout_s=args.wait)
-            if reply.get("status") == "done":
-                reply = client.job(reply["id"], result=True)
-    except ServiceUnavailable as exc:
-        raise SystemExit(str(exc))
-    except TimeoutError as exc:
-        raise SystemExit(str(exc))
-    print(json.dumps(reply, sort_keys=True))
-    return 0 if reply.get("status") in ("queued", "running", "done") else 1
-
-
-def cmd_drain(args) -> int:
-    from .service import ServiceUnavailable
-    client = _service_client(args)
-    try:
-        reply = client.drain()
-    except ServiceUnavailable as exc:
-        raise SystemExit(str(exc))
-    print(json.dumps(reply, sort_keys=True))
-    return 0 if reply.get("status") == "draining" else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -761,7 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig_p = sub.add_parser("figure", help="regenerate a paper figure",
                            parents=[exec_parent])
-    fig_p.add_argument("name", help="fig1, fig3, ..., fig15")
+    fig_p.add_argument("name", help="a committed campaign spec: fig1, "
+                                    "fig3, ..., fig15, suf_statistics, ...")
     fig_p.add_argument("--scale", choices=sorted(SCALES),
                        default="tiny")
 
@@ -769,7 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run a figure set with resume support",
         parents=[exec_parent])
     sweep_p.add_argument("figures", nargs="*",
-                         help="figure names (default: all figures)")
+                         help="committed campaign spec names (default: "
+                              "every committed spec)")
     sweep_p.add_argument("--scale", choices=sorted(SCALES),
                          default="tiny")
     sweep_p.add_argument("--expect-cached", action="store_true",
@@ -889,66 +828,10 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p = sub.add_parser(
         "report", help="assemble benchmark results into markdown")
     rep_p.add_argument("figures", nargs="*",
-                       help="only these figures (default: every result)")
+                       help="only these sections: *.txt stems in "
+                            "--results-dir (default: every result)")
     rep_p.add_argument("--results-dir", default="benchmarks/results")
     rep_p.add_argument("--output", default=None)
-
-    srv_p = sub.add_parser(
-        "serve", help="run the crash-safe simulation job service")
-    srv_p.add_argument("--store", default=DEFAULT_STORE,
-                       help="store root (WAL + results; default: "
-                            f"{DEFAULT_STORE!r})")
-    srv_p.add_argument("--host", default="127.0.0.1")
-    srv_p.add_argument("--port", type=int, default=0,
-                       help="0 = pick a free port and advertise it in "
-                            "<store>/service/endpoint.json")
-    srv_p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (default: 1)")
-    srv_p.add_argument("--queue-size", type=int, default=256,
-                       help="bounded queue capacity, 0 = unbounded")
-    srv_p.add_argument("--quota", type=int, default=0,
-                       help="max live jobs per client, 0 = unlimited")
-    srv_p.add_argument("--heartbeat", type=float, default=120.0,
-                       metavar="S",
-                       help="kill a worker silent for S seconds and "
-                            "retry its job (default: 120)")
-    srv_p.add_argument("--backoff", type=float, default=0.5, metavar="S",
-                       help="base retry backoff; doubles per failure")
-    srv_p.add_argument("--breaker", type=int, default=4, metavar="N",
-                       help="quarantine a job after N failed attempts")
-    srv_p.add_argument("--drain-timeout", type=float, default=None,
-                       metavar="S",
-                       help="max seconds to wait for in-flight jobs on "
-                            "shutdown (default: unbounded)")
-
-    def add_client_flags(p):
-        p.add_argument("--store", default=DEFAULT_STORE,
-                       help="store root of the target service "
-                            f"(default: {DEFAULT_STORE!r})")
-        p.add_argument("--host", default=None,
-                       help="explicit endpoint host (with --port)")
-        p.add_argument("--port", type=int, default=None)
-        p.add_argument("--timeout", type=float, default=30.0,
-                       help="socket timeout per request in seconds")
-
-    sbm_p = sub.add_parser(
-        "submit", help="submit one simulation to a running service")
-    sbm_p.add_argument("workload")
-    sbm_p.add_argument("--loads", type=int, default=3000)
-    sbm_p.add_argument("--client", default="cli",
-                       help="client name for quota accounting")
-    sbm_p.add_argument("--priority", type=int, default=10,
-                       help="lower runs first (default: 10)")
-    sbm_p.add_argument("--wait", type=float, default=None, metavar="S",
-                       nargs="?", const=300.0,
-                       help="poll until the job is done (at most S "
-                            "seconds, default 300) and print the result")
-    add_config_flags(sbm_p)
-    add_client_flags(sbm_p)
-
-    drn_p = sub.add_parser(
-        "drain", help="gracefully drain and stop a running service")
-    add_client_flags(drn_p)
 
     return parser
 
@@ -968,9 +851,6 @@ COMMANDS = {
     "security-matrix": cmd_security_matrix,
     "multicore": cmd_multicore,
     "report": cmd_report,
-    "serve": cmd_serve,
-    "submit": cmd_submit,
-    "drain": cmd_drain,
 }
 
 
@@ -986,8 +866,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     # SIGTERM parity with SIGINT: both unwind cleanly (finally blocks,
     # store checkpoints) and exit with the conventional 128+signal code.
-    # ``serve`` replaces this with its own asyncio handler that drains
-    # in-flight jobs first.
     previous_sigterm = None
     try:
         previous_sigterm = signal.signal(signal.SIGTERM, _on_sigterm)

@@ -208,11 +208,9 @@ def _worker_main(conn) -> None:
 class WorkerHandle:
     """One worker process plus its pipe and in-flight bookkeeping.
 
-    Shared between :class:`JobExecutor` (batch sweeps) and
-    :class:`repro.service.dispatch.Dispatcher` (the long-running job
-    service) -- both speak the same ``(job, attempt, plan)`` pipe
-    protocol to :func:`_worker_main`.  ``index`` is an opaque in-flight
-    tag: the executor stores a list index, the service a job key.
+    :class:`JobExecutor` speaks the ``(job, attempt, plan)`` pipe
+    protocol to :func:`_worker_main` through it; ``index`` is the
+    in-flight job's position in the executor's batch.
     """
 
     def __init__(self) -> None:

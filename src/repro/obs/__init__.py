@@ -11,9 +11,7 @@ Four cooperating pieces, all opt-in and all zero-cost when disabled:
 * :mod:`repro.obs.events` -- bounded ring-buffer trace of structured
   simulator events (fills, prefetch lifecycle, GM commits, SUF decisions);
 * :mod:`repro.obs.profiler` -- wall-clock phase timers for the experiment
-  runner;
-* :mod:`repro.obs.service` -- lifecycle counters and the queue-depth
-  time series for the long-running job service (:mod:`repro.service`).
+  runner.
 
 :class:`ObsConfig` is the single knob handed to
 :class:`~repro.sim.system.System`.
@@ -30,7 +28,6 @@ from .registry import Counter, Gauge, Histogram, Metric, MetricRegistry
 from .sampler import (IntervalSampler, TIMESERIES_FIELDS, timeseries_csv,
                       timeseries_jsonl, validate_timeseries_record,
                       write_timeseries)
-from .service import (QueueDepthSeries, SERVICE_COUNTERS, ServiceMetrics)
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "Metric", "MetricRegistry",
@@ -39,7 +36,6 @@ __all__ = [
     "IntervalSampler", "TIMESERIES_FIELDS", "timeseries_csv",
     "timeseries_jsonl", "validate_timeseries_record", "write_timeseries",
     "PhaseProfiler", "ObsConfig",
-    "QueueDepthSeries", "SERVICE_COUNTERS", "ServiceMetrics",
 ]
 
 

@@ -75,10 +75,23 @@ class TestSharedOptionErrors(object):
             main(["figure", "fig2", "--no-store"])
 
     def test_report_unknown_figure_lists_drivers(self, tmp_path):
+        (tmp_path / "fig12.txt").write_text("Fig. 12: hello\n")
         with pytest.raises(SystemExit,
                            match="unknown figure.*fig99.*fig12"):
             main(["report", "fig99",
                   "--results-dir", str(tmp_path)])
+
+    def test_report_selects_a_non_figure_section(self, tmp_path,
+                                                 capsys):
+        # Any *.txt stem in --results-dir is a section, not only the
+        # figures with a campaign spec.
+        (tmp_path / "table1.txt").write_text("Table I: hello\n")
+        (tmp_path / "fig1.txt").write_text("Fig. 1: hello\n")
+        assert main(["report", "table1",
+                     "--results-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "## table1" in out and "Table I: hello" in out
+        assert "## fig1" not in out
 
     def test_campaign_rejects_nonpositive_jobs(self):
         with pytest.raises(SystemExit,

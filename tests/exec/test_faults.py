@@ -27,8 +27,9 @@ class TestParsing:
         assert not FaultPlan.from_env({}).active
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultPlan.parse("explode:3")
+        for spec in ("explode:3", "kill:1"):
+            with pytest.raises(ValueError, match="unknown fault kind"):
+                FaultPlan.parse(spec)
 
     def test_bad_value_rejected(self):
         with pytest.raises(ValueError, match="bad value"):
@@ -93,71 +94,13 @@ class TestInjection:
 
 
 class TestNewKinds:
-    def test_full_chaos_spec(self):
-        plan = FaultPlan.parse(
-            "stall:5,torn:3,kill:2,wal_trunc:7,stall_s:0.01,"
-            "kill_phase:complete")
-        assert plan.stall_every == 5
-        assert plan.torn_every == 3
-        assert plan.kill_every == 2
-        assert plan.wal_trunc_every == 7
-        assert plan.stall_s == 0.01
-        assert plan.kill_phase == "complete"
-        assert plan.active
+    """``torn`` is the store-side kind next to ``corrupt``."""
 
     def test_each_new_kind_activates_the_plan(self):
-        for spec in ("stall:1", "torn:1", "kill:1", "wal_trunc:1"):
+        for spec in ("torn:1",):
             assert FaultPlan.parse(spec).active, spec
-
-    def test_bad_kill_phase_rejected(self):
-        with pytest.raises(ValueError, match="kill_phase must be one of"):
-            FaultPlan.parse("kill:1,kill_phase:teardown")
-
-    def test_stall_is_attempt_scoped(self):
-        plan = FaultPlan(stall_every=1, attempts=1)
-        assert plan.should_stall("ab", attempt=1)
-        assert not plan.should_stall("ab", attempt=2)
 
     def test_tear_ignores_attempts(self):
         # Store-side kinds are once-per-key via markers, not per attempt.
         plan = FaultPlan(torn_every=1, attempts=1)
         assert plan.should_tear("ab")
-
-    def test_wal_trunc_selects_by_record_id(self):
-        plan = FaultPlan(wal_trunc_every=1)
-        assert plan.should_truncate_wal("ab")
-        assert not FaultPlan().should_truncate_wal("ab")
-
-    def test_kill_requires_matching_phase(self):
-        plan = FaultPlan(kill_every=1, kill_phase="dispatch")
-        assert plan.should_kill("ab", "dispatch")
-        assert not plan.should_kill("ab", "submit")
-        assert not plan.should_kill("ab", "complete")
-        # No phase configured: kill never fires even with a modulus.
-        assert not FaultPlan(kill_every=1).should_kill("ab", "dispatch")
-
-    def test_stall_injection_continues_to_completion(self):
-        # A stall is a slow worker, not a failure: inject returns.
-        plan = FaultPlan(stall_every=1, stall_s=0.0)
-        plan.inject("ab", 1, in_worker=False)  # must not raise
-
-    def test_stall_then_crash_compose(self):
-        plan = FaultPlan(stall_every=1, stall_s=0.0, crash_every=1)
-        with pytest.raises(InjectedFault, match="injected crash"):
-            plan.inject("ab", 1, in_worker=False)
-
-    def test_maybe_kill_not_selected_is_noop(self, tmp_path):
-        FaultPlan().maybe_kill("ab", "submit", tmp_path)
-        FaultPlan(kill_every=1, kill_phase="complete").maybe_kill(
-            "ab", "submit", tmp_path)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_maybe_kill_marker_prevents_second_kill(self, tmp_path):
-        # With the marker already present (a previous process died
-        # here), maybe_kill must be a no-op -- otherwise this test would
-        # SIGKILL the pytest process.
-        plan = FaultPlan(kill_every=1, kill_phase="submit")
-        marker = tmp_path / "kill-submit-ab"
-        marker.write_text("killed once\n")
-        plan.maybe_kill("ab", "submit", tmp_path)
-        assert marker.exists()

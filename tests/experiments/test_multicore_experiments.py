@@ -1,9 +1,15 @@
-"""Multi-core experiment drivers at micro scale."""
+"""Multi-core experiments at micro scale: the Fig. 15 spec and the SMT
+proxy."""
+
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.experiments import ExperimentRunner, Scale, fig15, \
-    smt_accuracy_check
+from repro.campaign import parse_spec, run_campaign
+from repro.experiments import ExperimentRunner, Scale, smt_accuracy_check
+
+FIG15 = Path(__file__).resolve().parents[2] / "campaigns" / "fig15.json"
 
 
 @pytest.fixture(scope="module")
@@ -12,9 +18,16 @@ def micro_runner():
     return ExperimentRunner(scale=Scale("micro", 2000, 3, 1, 2))
 
 
+def fig15(runner):
+    """The committed Fig. 15 spec on 2-core mixes, 2 of them."""
+    raw = json.loads(FIG15.read_text())
+    raw["outputs"][0].update(cores=2, n_mixes=2)
+    return run_campaign(parse_spec(raw), runner)
+
+
 class TestFig15:
     def test_structure(self, micro_runner):
-        result = fig15(micro_runner, cores=2, n_mixes=2)
+        result = fig15(micro_runner)
         assert set(result.rows) == {
             "no-pref/S", "berti-OA/NS", "berti-OC/S", "berti-OC/S+SUF",
             "tsb", "tsb+suf"}
@@ -23,7 +36,7 @@ class TestFig15:
         assert len(result.sorted_norms["tsb"]) == 2
 
     def test_secure_costs_weighted_speedup(self, micro_runner):
-        result = fig15(micro_runner, cores=2, n_mixes=2)
+        result = fig15(micro_runner)
         assert result.rows["no-pref/S"][0] <= 1.02
 
 

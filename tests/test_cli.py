@@ -255,34 +255,3 @@ class TestSigtermParity:
         before = signal.getsignal(signal.SIGTERM)
         assert main(["tables"]) == 0
         assert signal.getsignal(signal.SIGTERM) is before
-
-
-class TestServiceParser:
-    def test_serve_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.port == 0
-        assert args.jobs == 1
-        assert args.queue_size == 256
-        assert args.breaker == 4
-
-    def test_submit_flags(self):
-        args = build_parser().parse_args(
-            ["submit", "bfs", "--loads", "500", "--secure",
-             "--prefetcher", "berti", "--wait"])
-        assert args.workload == "bfs"
-        assert args.loads == 500
-        assert args.secure
-        assert args.wait == 300.0   # bare --wait uses the default budget
-
-    def test_submit_requires_workload(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["submit"])
-
-    def test_drain_client_flags(self):
-        args = build_parser().parse_args(
-            ["drain", "--host", "127.0.0.1", "--port", "9999"])
-        assert args.host == "127.0.0.1" and args.port == 9999
-
-    def test_submit_unreachable_service_fails_cleanly(self, tmp_path):
-        with pytest.raises(SystemExit, match="repro serve"):
-            main(["submit", "bfs", "--store", str(tmp_path / "none")])
