@@ -114,7 +114,8 @@ def execute_job(job):
     Build and simulation wall-clock times travel back in the result's
     ``extras`` (``wall_build_s`` / ``wall_simulate_s``), so the parent's
     profiler can account per-phase time even for pool workers.  Two perf
-    extras ride along for throughput tracking (docs/PERFORMANCE.md):
+    extras ride along for per-job records (perfbench measures the
+    program end to end; see perfbench/README.md):
     ``instr_per_s`` (committed instructions over simulate wall time) and
     ``max_rss_kb`` (the executing process's peak RSS so far -- in a pool,
     the *worker's* footprint, which is the one that matters for sizing

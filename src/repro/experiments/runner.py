@@ -277,9 +277,6 @@ class ExperimentRunner:
         self.profiler = PhaseProfiler()
         #: Permanently failed cells (populated in failsoft mode).
         self.failures: List[JobFailure] = []
-        #: Per-job simulation throughputs (instr/s) reported by workers;
-        #: :meth:`throughput` folds them into one harmonic mean.
-        self.job_throughputs: List[float] = []
         self._executor = JobExecutor(
             jobs=self.jobs, timeout_s=timeout_s, max_retries=max_retries,
             backoff_s=backoff_s, store=self.store,
@@ -420,20 +417,21 @@ class ExperimentRunner:
                    config=config, trace=trace, scale=self.scale,
                    params=self.params)
 
+    def _fold_phases(self, outcome) -> None:
+        """Fold a fresh job's worker-measured phase times into this
+        runner's profiler (store hits did no fresh work)."""
+        if outcome.from_store:
+            return
+        extras = outcome.result.extras
+        for phase in ("build", "simulate"):
+            seconds = extras.get(f"wall_{phase}_s")
+            if seconds is not None:
+                self.profiler.add(phase, seconds)
+
     def _finish(self, outcome) -> SimResult:
         """Turn a job outcome into a result, honouring ``failsoft``."""
         if outcome.ok:
-            if not outcome.from_store:
-                # Fold the worker-measured phase times into this runner's
-                # profiler (store hits did no fresh work).
-                extras = outcome.result.extras
-                for phase in ("build", "simulate"):
-                    seconds = extras.get(f"wall_{phase}_s")
-                    if seconds is not None:
-                        self.profiler.add(phase, seconds)
-                instr_per_s = extras.get("instr_per_s")
-                if instr_per_s:
-                    self.job_throughputs.append(instr_per_s)
+            self._fold_phases(outcome)
             return outcome.result
         failure = JobFailure(outcome.job.config.label(),
                              outcome.job.trace.name, outcome.error)
@@ -444,18 +442,6 @@ class ExperimentRunner:
                 f"after {outcome.attempts} attempt(s): {outcome.error}")
         return failed_result(outcome.job.config, outcome.job.trace.name,
                              outcome.error)
-
-    def throughput(self) -> float:
-        """Harmonic-mean simulation throughput (instr/s) over fresh jobs.
-
-        The harmonic mean weights every job by its wall time, so one slow
-        secure-config cell is not drowned out by many fast baseline cells.
-        Returns 0.0 when nothing ran fresh (e.g. a fully store-hit sweep).
-        """
-        rates = self.job_throughputs
-        if not rates:
-            return 0.0
-        return len(rates) / sum(1.0 / r for r in rates)
 
     def run(self, config: Config, trace: Trace) -> SimResult:
         """Run (or recall) one configuration on one trace."""
@@ -530,15 +516,7 @@ class ExperimentRunner:
         :class:`MulticoreResult` has no NaN sentinel shape.
         """
         if outcome.ok:
-            if not outcome.from_store:
-                extras = outcome.result.extras
-                for phase in ("build", "simulate"):
-                    seconds = extras.get(f"wall_{phase}_s")
-                    if seconds is not None:
-                        self.profiler.add(phase, seconds)
-                instr_per_s = extras.get("instr_per_s")
-                if instr_per_s:
-                    self.job_throughputs.append(instr_per_s)
+            self._fold_phases(outcome)
             return outcome.result
         mix_label = "+".join(t.name for t in outcome.job.traces)
         failure = JobFailure(outcome.job.config.label(), mix_label,

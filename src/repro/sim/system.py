@@ -1097,7 +1097,10 @@ class System:
 
     def finalize(self, trace: Trace) -> SimResult:
         """Complete the run started by :meth:`stepper`; return results."""
-        self._drain_commits(None)
+        drain_commits = self._drainer
+        if drain_commits is None:
+            drain_commits = self._drainer = self._make_drainer()
+        drain_commits(None)
         if self.classifier is not None:
             self.classifier.finalize()
         self.core_stats.cycles = max(
@@ -1146,19 +1149,14 @@ class System:
     # commit stage
     # ------------------------------------------------------------------
 
-    def _drain_commits(self, until: Optional[int]) -> None:
-        """Drain queued commit actions due at or before ``until``.
-
-        Delegates to the cached closure from :meth:`_make_drainer`; the
-        stepper hoists that closure directly, so the ~20-collaborator
-        preamble runs once per system instead of once per drain call.
-        """
-        drainer = self._drainer
-        if drainer is None:
-            drainer = self._drainer = self._make_drainer()
-        drainer(until)
-
     def _make_drainer(self):
+        """Build the closure that drains queued commit actions due at or
+        before its ``until`` argument (``None`` drains them all).
+
+        The stepper and :meth:`finalize` cache it in ``self._drainer``,
+        so the ~20-collaborator preamble runs once per system instead of
+        once per drain call.
+        """
         queue = self._commit_q
         hierarchy = self.hierarchy
         # hierarchy.demand_store is a one-line wrapper around the L1D

@@ -1,4 +1,5 @@
-"""Golden-snapshot regeneration helpers (shared by the golden tests).
+"""Golden-snapshot helpers shared by the golden tests: building a
+pinned system, snapshotting its result, and regeneration.
 
 Golden files pin simulator behaviour.  Two regeneration paths exist and
 both stamp a **provenance header** into the snapshot so a reviewer can
@@ -66,3 +67,44 @@ def assert_provenance(golden: dict) -> None:
         "golden snapshot lacks a provenance header (regenerate it)"
     for key in ("generator", "git_commit", "generated_at", "python"):
         assert header.get(key), f"provenance header missing {key!r}"
+
+
+def build_system(config_kwargs: dict):
+    """A :class:`~repro.sim.system.System` from golden config kwargs.
+
+    The kwargs are ``System`` keywords plus two shorthands: ``prefetcher``
+    names a registered prefetcher (``"tsb"`` for the paper's TSB) and
+    ``on_commit`` selects on-commit training (default: on-access).
+    """
+    from repro.core.tsb import TSBPrefetcher
+    from repro.prefetchers.base import MODE_ON_ACCESS, MODE_ON_COMMIT
+    from repro.prefetchers.registry import make_prefetcher
+    from repro.sim.system import System
+    kwargs = dict(config_kwargs)
+    spec = kwargs.pop("prefetcher", None)
+    if spec == "tsb":
+        kwargs["prefetcher"] = TSBPrefetcher()
+    elif spec is not None:
+        kwargs["prefetcher"] = make_prefetcher(spec)
+    kwargs.setdefault("train_mode",
+                      MODE_ON_COMMIT if kwargs.pop("on_commit", False)
+                      else MODE_ON_ACCESS)
+    return System(**kwargs)
+
+
+def snapshot(result) -> dict:
+    """The full stats snapshot of one ``SimResult``, as goldens pin it."""
+    return {
+        "committed": result.committed,
+        "cycles": result.cycles,
+        "ipc": result.ipc,
+        "core": result.core.snapshot(),
+        "l1d": result.l1d.snapshot(),
+        "l2": result.l2.snapshot(),
+        "llc": result.llc.snapshot(),
+        "gm": result.gm.snapshot() if result.gm is not None else None,
+        "dram": result.dram.snapshot(),
+        "tlb": result.tlb.snapshot() if result.tlb is not None else None,
+        "classification": result.classification,
+        "extras": result.extras,
+    }

@@ -33,59 +33,30 @@ from repro.workloads.trace import (FLAG_BRANCH, FLAG_LOAD, FLAG_MISPREDICT,
 
 try:
     from .goldenlib import load_golden
+    from .test_golden_stats import (CONFIGS as GOLDEN_CONFIGS, GOLDEN_LOADS,
+                                    GOLDEN_PATH, GOLDEN_WARMUP,
+                                    GOLDEN_WORKLOAD)
     from .test_golden_stats import _generate as _regen_stats_golden
+    from .test_golden_stats import _run_snapshot as _run_config
 except ImportError:  # direct script run: tests/sim is sys.path[0]
     from goldenlib import load_golden
+    from test_golden_stats import (CONFIGS as GOLDEN_CONFIGS, GOLDEN_LOADS,
+                                   GOLDEN_PATH, GOLDEN_WARMUP,
+                                   GOLDEN_WORKLOAD)
     from test_golden_stats import _generate as _regen_stats_golden
-
-GOLDEN_PATH = Path(__file__).parent / "golden" / "stats_golden.json"
-GOLDEN_WORKLOAD = "605.mcf-1554B"
-GOLDEN_LOADS = 6000
-GOLDEN_WARMUP = 0.2
-GOLDEN_CONFIGS = {
-    "baseline": {},
-    "berti_on_access": {"prefetcher": "berti"},
-    "secure_tsb_suf_oc": {"secure": True, "suf": True,
-                          "prefetcher": "tsb", "on_commit": True},
-}
+    from test_golden_stats import _run_snapshot as _run_config
 
 
 def _golden(name):
     return load_golden(GOLDEN_PATH, _regen_stats_golden)["configs"][name]
 
 
-def _snapshot(result):
-    return {
-        "committed": result.committed,
-        "cycles": result.cycles,
-        "ipc": result.ipc,
-        "core": result.core.snapshot(),
-        "l1d": result.l1d.snapshot(),
-        "l2": result.l2.snapshot(),
-        "llc": result.llc.snapshot(),
-        "gm": result.gm.snapshot() if result.gm is not None else None,
-        "dram": result.dram.snapshot(),
-        "tlb": result.tlb.snapshot() if result.tlb is not None else None,
-        "classification": result.classification,
-        "extras": result.extras,
-    }
-
-
-def _run_config(name):
-    from repro.perf.suites import _system
-    from repro.workloads.spec import spec_trace
-
-    trace = spec_trace(GOLDEN_WORKLOAD, GOLDEN_LOADS)
-    system = _system(dict(GOLDEN_CONFIGS[name]))
-    return _snapshot(system.run(trace, warmup=GOLDEN_WARMUP))
-
-
-def _assert_matches_golden(name, snapshot):
+def _assert_matches_golden(name, current):
     golden = _golden(name)
     for section in sorted(golden):
-        assert snapshot[section] == golden[section], (
+        assert current[section] == golden[section], (
             f"{name}.{section} drifted from the golden snapshot")
-    assert sorted(snapshot) == sorted(golden)
+    assert sorted(current) == sorted(golden)
 
 
 # ---------------------------------------------------------------------------
@@ -253,24 +224,15 @@ import json, sys
 sys.modules["numpy"] = None  # any 'import numpy' now raises ImportError
 from repro.sim import batch
 assert not batch.HAVE_NUMPY, "poisoned numpy import must disable the backend"
-from repro.perf.suites import _system
+from goldenlib import build_system, snapshot
 from repro.workloads.spec import spec_trace
 trace = spec_trace({workload!r}, {loads})
-system = _system({config})
+system = build_system({config})
 assert getattr(trace, "_batch_plan", None) is None
 result = system.run(trace, warmup={warmup})
 # With HAVE_NUMPY false, the plan the stepper cached is the stdlib one.
 assert trace._batch_plan is not None, "the stepper must run on a plan"
-print(json.dumps({{
-    "committed": result.committed, "cycles": result.cycles,
-    "ipc": result.ipc, "core": result.core.snapshot(),
-    "l1d": result.l1d.snapshot(), "l2": result.l2.snapshot(),
-    "llc": result.llc.snapshot(),
-    "gm": result.gm.snapshot() if result.gm is not None else None,
-    "dram": result.dram.snapshot(),
-    "tlb": result.tlb.snapshot() if result.tlb is not None else None,
-    "classification": result.classification, "extras": result.extras,
-}}))
+print(json.dumps(snapshot(result)))
 """
 
 
@@ -280,8 +242,9 @@ def test_no_numpy_subprocess_bit_identical():
         config=dict(GOLDEN_CONFIGS["baseline"]), warmup=GOLDEN_WARMUP)
     env = dict(os.environ)
     env.pop("REPRO_NO_NUMPY", None)
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    here = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(here.parents[1] / "src"), str(here), env.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
